@@ -18,7 +18,7 @@ import (
 )
 
 // Campaign is a long-lived, concurrency-safe serving session over one
-// Problem: it constructs the evaluation engine, the diffusion substrate and
+// Problem: it constructs the evaluation engine, the live-edge substrate and
 // the scratch pools once and then serves many Solve, RunBaseline, Evaluate
 // and EvaluateBatch calls against the shared state. Live-edge bit rows are
 // materialized once and read by every call; world-cache snapshots are pooled
@@ -30,8 +30,8 @@ import (
 // options overriding the campaign's settings for that call only — including
 // WithEngine, so one campaign serves requests across engines. A call-level
 // WithSeed pins the call's streams to that seed alone, making it
-// bit-identical to a one-shot call with the same seed regardless of what
-// else the campaign is doing.
+// bit-identical to the same call on a fresh campaign with the same seed,
+// regardless of what else the campaign is doing.
 //
 // Cancelling the call's context aborts the solve mid-iteration: the call
 // returns an error wrapping both ctx.Err() and a *core.PartialError carrying
@@ -49,7 +49,7 @@ type Campaign struct {
 }
 
 // maxEnginePools bounds the engine-state cache. Calls are keyed by
-// (samples, seed, diffusion, memBudget) — in a serving deployment those
+// (samples, seed, model, memBudget, epsilon, delta) — in a serving deployment those
 // come from client requests, so without a cap a client sweeping seeds
 // would grow the map (each entry holds a live-edge substrate) until OOM.
 // Evicted pools stay alive for calls already using them and are rebuilt on
@@ -80,7 +80,6 @@ type engineKey struct {
 	samples        int
 	seed           uint64
 	model          string
-	diffusion      string
 	memBudget      int64
 	epsilon, delta float64
 }
@@ -111,22 +110,19 @@ type enginePool struct {
 }
 
 // view returns a per-call view of the pool's current prototype estimator.
-func (ep *enginePool) view(ctx context.Context, workers int, evalMode string) *diffusion.Estimator {
+func (ep *enginePool) view(ctx context.Context, workers int) *diffusion.Estimator {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	v := ep.proto.View(ctx, workers)
-	v.EvalMode = evalMode
-	return v
+	return ep.proto.View(ctx, workers)
 }
 
 // checkout returns a world cache over a fresh per-call estimator view,
 // reusing an idle instance's snapshot arrays when one is available, plus the
 // pool's churn epoch at checkout time (hand it back to put).
-func (ep *enginePool) checkout(ctx context.Context, workers int, evalMode string) (*diffusion.WorldCache, *diffusion.Estimator, uint64) {
+func (ep *enginePool) checkout(ctx context.Context, workers int) (*diffusion.WorldCache, *diffusion.Estimator, uint64) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	view := ep.proto.View(ctx, workers)
-	view.EvalMode = evalMode
 	if n := len(ep.idle); n > 0 {
 		wc := ep.idle[n-1]
 		ep.idle = ep.idle[:n-1]
@@ -213,7 +209,7 @@ func (ep *enginePool) applyBatch(inst2 *diffusion.Instance, batch []graph.Edge, 
 // NewCampaign validates the options eagerly and constructs the campaign's
 // default engine: the estimator and its live-edge substrate are built here,
 // once, so every call — and every engine, mc and worldcache alike — reuses
-// them. Option errors (unknown engine or diffusion name, non-positive
+// them. Option errors (unknown engine or model name, non-positive
 // sample count, …) surface from this call with a "want one of …" message
 // instead of failing deep inside a solve.
 func (p *Problem) NewCampaign(opts ...Option) (*Campaign, error) {
@@ -242,7 +238,6 @@ func poolKey(cfg config, seed uint64) engineKey {
 		samples:   cfg.samples,
 		seed:      seed,
 		model:     cfg.model,
-		diffusion: cfg.diffusion,
 		memBudget: cfg.memBudget,
 		epsilon:   cfg.epsilon,
 		delta:     cfg.delta,
@@ -267,8 +262,7 @@ func (c *Campaign) poolLocked(cfg config, seed uint64) (*enginePool, error) {
 	// call-level engine choice is applied per call (see call.engine).
 	ev, err := diffusion.NewEngineOpts(c.inst, diffusion.EngineOptions{
 		Engine: diffusion.EngineMC, Model: cfg.model,
-		Samples: cfg.samples, Seed: seed,
-		Diffusion: cfg.diffusion, LiveEdgeMemBudget: cfg.memBudget,
+		Samples: cfg.samples, Seed: seed, LiveEdgeMemBudget: cfg.memBudget,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("s3crm: %w", err)
@@ -297,8 +291,8 @@ type call struct {
 	// snapshots — with every other unpinned call.
 	seed uint64
 	// scorerSeed decorrelates the solver's snapshot-selection stream. A
-	// pinned call uses the classic one-shot derivation (seed ^ 0x5c04e) so
-	// results match the deprecated entry points bit for bit; an unpinned
+	// pinned call uses the solver's own derivation (seed ^ 0x5c04e) so
+	// results match core.Solve with the same seed bit for bit; an unpinned
 	// call derives it from the call sequence number, drawing fresh,
 	// reproducible selection noise per call.
 	scorerSeed uint64
@@ -390,10 +384,7 @@ type callEngines struct {
 // count, wrapped in a (pooled, epoch-stamped) world cache when the call runs
 // the worldcache engine. With bare set the evaluators stay plain estimator
 // views regardless of the configured engine (the baselines evaluate whole
-// deployments only). The eval mode is a per-call kernel choice, deliberately
-// absent from engineKey: scalar and bit-parallel calls share worlds,
-// substrates and snapshots, so it is stamped on the views rather than baked
-// into the pools. The release func must be invoked with the call's final
+// deployments only). The release func must be invoked with the call's final
 // error; it re-pools checked-out world caches only on success.
 func (c *Campaign) enginesFor(ctx context.Context, cfg config, seeds []uint64, bare, sketchDirtyOK bool) (*callEngines, error) {
 	c.mu.Lock()
@@ -406,7 +397,7 @@ func (c *Campaign) enginesFor(ctx context.Context, cfg config, seeds []uint64, b
 			return nil, err
 		}
 		if !bare && cfg.engine == diffusion.EngineWorldCache {
-			wc, view, epoch := ep.checkout(ctx, cfg.workers, cfg.evalMode)
+			wc, view, epoch := ep.checkout(ctx, cfg.workers)
 			ep := ep
 			puts = append(puts, func(callErr error) {
 				if callErr == nil {
@@ -416,7 +407,7 @@ func (c *Campaign) enginesFor(ctx context.Context, cfg config, seeds []uint64, b
 			ce.evs = append(ce.evs, wc)
 			ce.views = append(ce.views, view)
 		} else { // mc, sketch, ssr: the estimator itself
-			view := ep.view(ctx, cfg.workers, cfg.evalMode)
+			view := ep.view(ctx, cfg.workers)
 			ce.evs = append(ce.evs, view)
 			ce.views = append(ce.views, view)
 		}
@@ -471,9 +462,7 @@ func (c *Campaign) Solve(ctx context.Context, opts ...Option) (*Result, error) {
 	sol, err := core.SolveCtx(ctx, inst, core.Options{
 		Engine:            cl.cfg.engine,
 		Model:             cl.cfg.model,
-		Diffusion:         cl.cfg.diffusion,
 		LiveEdgeMemBudget: cl.cfg.memBudget,
-		EvalMode:          cl.cfg.evalMode,
 		Samples:           cl.cfg.samples,
 		Seed:              cl.seed,
 		ScorerSeed:        cl.scorerSeed,
@@ -535,9 +524,7 @@ func (c *Campaign) RunBaseline(ctx context.Context, name string, opts ...Option)
 	cfg := baselines.Config{
 		Engine:            cl.cfg.engine,
 		Model:             cl.cfg.model,
-		Diffusion:         cl.cfg.diffusion,
 		LiveEdgeMemBudget: cl.cfg.memBudget,
-		EvalMode:          cl.cfg.evalMode,
 		Samples:           cl.cfg.samples,
 		Seed:              cl.seed,
 		Workers:           cl.cfg.workers,

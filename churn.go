@@ -410,9 +410,7 @@ func (c *Campaign) resolveSSR(ctx context.Context, opts []Option) (*Result, erro
 	sol, err := core.SolveCtx(ctx, inst, core.Options{
 		Engine:            cl.cfg.engine,
 		Model:             cl.cfg.model,
-		Diffusion:         cl.cfg.diffusion,
 		LiveEdgeMemBudget: cl.cfg.memBudget,
-		EvalMode:          cl.cfg.evalMode,
 		Samples:           cl.cfg.samples,
 		Seed:              cl.seed,
 		ScorerSeed:        cl.scorerSeed,

@@ -91,15 +91,19 @@ func TestApplyEdgesColdParity(t *testing.T) {
 	ctx := context.Background()
 	for _, engine := range []string{"mc", "worldcache", "ssr"} {
 		for _, model := range []string{"ic", "lt"} {
-			for _, diff := range []string{"liveedge", "hash"} {
-				if diff == "hash" && engine != "mc" {
-					continue // substrate choice is orthogonal; one engine covers it
+			// "hash" is a live-edge budget below one row: every probe hashes.
+			for _, sub := range []struct {
+				name   string
+				budget int64
+			}{{"liveedge", 0}, {"hash", 1}} {
+				if sub.name == "hash" && engine != "mc" {
+					continue // the budget is orthogonal to the engine; one engine covers it
 				}
-				t.Run(engine+"-"+model+"-"+diff, func(t *testing.T) {
+				t.Run(engine+"-"+model+"-"+sub.name, func(t *testing.T) {
 					r := rand.New(rand.NewSource(31))
 					p, stream := randomChurnProblem(t, r, 24, 72, 14)
 					opts := []Option{
-						WithEngine(engine), WithModel(model), WithDiffusion(diff),
+						WithEngine(engine), WithModel(model), WithLiveEdgeMemBudget(sub.budget),
 						WithSamples(96), WithSeed(7),
 					}
 					warm, err := p.NewCampaign(opts...)
@@ -151,6 +155,56 @@ func TestApplyEdgesColdParity(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestApplyEdgesEdgelessColdParity: a campaign built over a network with
+// no edges at all still carries the triggering model's live-edge
+// substrate, so edges appended later are probed under that model — an LT
+// campaign must not fall back to independent coin flips. After ApplyEdges
+// a pinned Evaluate equals a campaign built cold over the final graph.
+func TestApplyEdgesEdgelessColdParity(t *testing.T) {
+	ctx := context.Background()
+	stream := []EdgeAdd{
+		{From: 0, To: 1, P: 0.5}, {From: 0, To: 2, P: 0.4},
+		{From: 1, To: 2, P: 0.3}, {From: 3, To: 4, P: 0.6},
+	}
+	dep := Deployment{Seeds: []int{0, 3}, Coupons: map[int]int{0: 2, 1: 1, 3: 1}}
+	for _, engine := range []string{"mc", "worldcache"} {
+		for _, model := range []string{"ic", "lt"} {
+			t.Run(engine+"-"+model, func(t *testing.T) {
+				p, err := NewProblem(6).Budget(6).Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := []Option{WithEngine(engine), WithModel(model), WithSamples(200), WithSeed(5)}
+				warm, err := p.NewCampaign(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := warm.Solve(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := warm.ApplyEdges(ctx, stream); err != nil {
+					t.Fatal(err)
+				}
+				cold, err := coldProblemAfter(t, p, stream).NewCampaign(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ew, err := warm.Evaluate(ctx, dep, WithSeed(5))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ec, err := cold.Evaluate(ctx, dep, WithSeed(5))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ew, ec) {
+					t.Fatalf("evaluate diverged:\nwarm %+v\ncold %+v", ew, ec)
+				}
+			})
 		}
 	}
 }

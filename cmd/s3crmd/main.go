@@ -20,9 +20,9 @@
 //	                 "limited_k": 0, "exhaustive_id": false,
 //	                 "stream": false, "timeout_ms": 0}. algorithm defaults
 //	                 to S3CA; any baseline name (IM-U, IM-L, PM-U, PM-L,
-//	                 IM-S) works. Unknown engine/model/diffusion/eval_mode
-//	                 values — and unknown fields — are rejected with 400;
-//	                 oversized bodies with 413.
+//	                 IM-S) works. Unknown engine/model values — and
+//	                 unknown fields — are rejected with 400; oversized
+//	                 bodies with 413.
 //	                 With "stream": true the response is NDJSON: one
 //	                 {"event": …} line per solver progress event, then a
 //	                 final {"result": …} line.
@@ -49,8 +49,11 @@
 // deterministic latency/error/slow-body faults for load testing (see
 // cmd/loadgen).
 //
-// Requests honour per-request engine selection and are cancelled when the
-// client disconnects or the per-request timeout (-timeout by default,
+// Every request evaluates on the bit-parallel kernel over the campaign's
+// live-edge worlds, materialized under the library's default memory budget;
+// there is no per-request substrate or kernel field. Requests honour
+// per-request engine selection and are cancelled when the client
+// disconnects or the per-request timeout (-timeout by default,
 // "timeout_ms" per request) expires; a cancelled solve aborts
 // mid-iteration. SIGINT/SIGTERM shut the daemon down gracefully: the
 // listener closes, in-flight requests drain for up to -drain, and whatever
@@ -91,8 +94,6 @@ func main() {
 		delta    = flag.Float64("delta", 0.01, "default ssr engine failure probability δ in (0,1)")
 		model    = flag.String("model", "ic", "default triggering model: ic (independent cascade), lt (linear threshold)")
 		ltnorm   = flag.Bool("ltnorm", false, "scale -graph in-weights to sum ≤ 1 (the lt-model precondition; wc weights already satisfy it)")
-		diff     = flag.String("diffusion", "liveedge", "default edge-liveness substrate: liveedge, hash")
-		evalmode = flag.String("evalmode", "bitparallel", "default world-evaluation kernel: bitparallel, scalar")
 		samples  = flag.Int("samples", 1000, "default Monte-Carlo samples per evaluation")
 		seed     = flag.Uint64("seed", 1, "campaign random seed")
 		workers  = flag.Int("workers", 0, "default parallel Monte-Carlo workers (0 = sequential)")
@@ -132,8 +133,6 @@ func main() {
 	campaign, err := problem.NewCampaign(
 		s3crm.WithEngine(*engine),
 		s3crm.WithModel(*model),
-		s3crm.WithDiffusion(*diff),
-		s3crm.WithEvalMode(*evalmode),
 		s3crm.WithSamples(*samples),
 		s3crm.WithSeed(*seed),
 		s3crm.WithWorkers(*workers),
@@ -153,9 +152,8 @@ func main() {
 	srv := &server{
 		problem: problem, campaign: campaign,
 		defaults: defaults{
-			Engine: *engine, Model: *model, Diffusion: *diff,
-			EvalMode: *evalmode, Samples: *samples, Workers: *workers,
-			Epsilon: *epsilon, Delta: *delta,
+			Engine: *engine, Model: *model, Samples: *samples,
+			Workers: *workers, Epsilon: *epsilon, Delta: *delta,
 		},
 		limiter: limiter, ladder: ladder, faults: faults,
 		solveWeight: *solveW, evaluateWeight: *evalW,
@@ -247,14 +245,12 @@ func loadProblem(dataset string, scale int, graphFile, probModel string, budget 
 }
 
 type defaults struct {
-	Engine    string  `json:"engine"`
-	Model     string  `json:"model"`
-	Diffusion string  `json:"diffusion"`
-	EvalMode  string  `json:"eval_mode"`
-	Samples   int     `json:"samples"`
-	Workers   int     `json:"workers"`
-	Epsilon   float64 `json:"epsilon"`
-	Delta     float64 `json:"delta"`
+	Engine  string  `json:"engine"`
+	Model   string  `json:"model"`
+	Samples int     `json:"samples"`
+	Workers int     `json:"workers"`
+	Epsilon float64 `json:"epsilon"`
+	Delta   float64 `json:"delta"`
 }
 
 type server struct {
@@ -336,8 +332,6 @@ func (s *server) writeShed(w http.ResponseWriter, status int, err error) {
 type callParams struct {
 	Engine       string  `json:"engine"`
 	Model        string  `json:"model"`
-	Diffusion    string  `json:"diffusion"`
-	EvalMode     string  `json:"eval_mode"`
 	Samples      int     `json:"samples"`
 	Seed         *uint64 `json:"seed"` // set ⇒ pinned, reproducible call
 	Workers      int     `json:"workers"`
@@ -357,12 +351,6 @@ func (p callParams) options() []s3crm.Option {
 	}
 	if p.Model != "" {
 		opts = append(opts, s3crm.WithModel(p.Model))
-	}
-	if p.Diffusion != "" {
-		opts = append(opts, s3crm.WithDiffusion(p.Diffusion))
-	}
-	if p.EvalMode != "" {
-		opts = append(opts, s3crm.WithEvalMode(p.EvalMode))
 	}
 	if p.Samples > 0 {
 		opts = append(opts, s3crm.WithSamples(p.Samples))
@@ -460,8 +448,6 @@ func (s *server) info(w http.ResponseWriter, _ *http.Request) {
 		"engines":      s3crm.Engines(),
 		"engine_usage": s3crm.EngineUsage(),
 		"models":       s3crm.Models(),
-		"diffusions":   s3crm.Diffusions(),
-		"eval_modes":   s3crm.EvalModes(),
 		"baselines":    s3crm.Baselines(),
 	})
 }

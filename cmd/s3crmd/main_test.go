@@ -28,7 +28,7 @@ func testServer(t *testing.T, opts ...s3crm.Option) *server {
 		t.Fatal(err)
 	}
 	return &server{problem: problem, campaign: campaign,
-		defaults: defaults{Engine: "mc", Diffusion: "liveedge", Samples: 100}}
+		defaults: defaults{Engine: "mc", Samples: 100}}
 }
 
 func do(t *testing.T, h http.HandlerFunc, method, body string) *httptest.ResponseRecorder {
@@ -55,6 +55,11 @@ func TestInfo(t *testing.T) {
 	}
 	if int(got["users"].(float64)) != s.problem.Users() || got["users"].(float64) <= 0 {
 		t.Fatalf("info users = %v, want %d", got["users"], s.problem.Users())
+	}
+	for _, gone := range []string{"diffusions", "eval_modes"} {
+		if _, ok := got[gone]; ok {
+			t.Fatalf("info still reports %q", gone)
+		}
 	}
 }
 
@@ -91,15 +96,14 @@ func TestSolveEndpoint(t *testing.T) {
 	}
 }
 
-// TestSolveRejectsUnknownNames: unknown engine, triggering-model and
-// diffusion values in POST /solve answer 400 with exactly the functional
-// options' "want one of" message, so clients see the valid set.
+// TestSolveRejectsUnknownNames: unknown engine and triggering-model values
+// in POST /solve answer 400 with exactly the functional options' "want one
+// of" message, so clients see the valid set.
 func TestSolveRejectsUnknownNames(t *testing.T) {
 	s := testServer(t)
 	cases := []struct{ body, want string }{
 		{`{"engine":"warp"}`, `unknown engine "warp" (want one of [mc worldcache sketch ssr auto])`},
 		{`{"model":"voter"}`, `unknown triggering model "voter" (want one of [ic lt])`},
-		{`{"diffusion":"quantum"}`, `unknown diffusion substrate "quantum" (want one of [liveedge hash])`},
 	}
 	for _, tc := range cases {
 		w := do(t, s.solve, http.MethodPost, tc.body)
@@ -221,6 +225,14 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	w = do(t, s.evaluate, http.MethodPost, `{"deployment":[{"seeds":[0]}]}`)
 	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "unknown field") {
 		t.Fatalf("evaluate with typo: %d %s", w.Code, w.Body.String())
+	}
+	// The substrate and kernel fields are gone from the wire: the memory
+	// budget is the only substrate setting, and it is not a request field.
+	for _, body := range []string{`{"diffusion":"hash"}`, `{"eval_mode":"scalar"}`} {
+		w = do(t, s.solve, http.MethodPost, body)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "unknown field") {
+			t.Fatalf("solve with removed field %s: %d %s", body, w.Code, w.Body.String())
+		}
 	}
 }
 

@@ -73,8 +73,8 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 	}
 	for _, want := range []string{
 		"NewCampaign", "EvaluateBatch", "cmd/s3crm", "s3crmd", "gengraph",
-		"LoadGraphProblem", "BENCH_6.json", "worldcache", "liveedge",
-		"WithModel", "-model lt", "bitparallel",
+		"LoadGraphProblem", "BENCH_6.json", "worldcache", "WithLiveEdgeMemBudget",
+		"WithModel", "-model lt",
 		"DESIGN.md", "EXPERIMENTS.md",
 		"cmd/loadgen", "/statusz", "BENCH_7.json", "Retry-After",
 		"`ssr`", "WithEpsilon", "WithDelta", "BENCH_8.json", "internal/sketch",

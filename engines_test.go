@@ -29,15 +29,15 @@ func TestEngineParity(t *testing.T) {
 			rates := make(map[string]float64, len(Engines()))
 			var mcRate float64
 			for _, engine := range Engines() {
-				opts := Options{Engine: engine, Samples: 300, Seed: 7}
+				opts := []Option{WithEngine(engine), WithSamples(300)}
 				var (
 					r   *Result
 					err error
 				)
 				if algo == "S3CA" {
-					r, err = Solve(p, opts)
+					r, err = solveFresh(p, 7, opts...)
 				} else {
-					r, err = RunBaseline(algo, p, opts)
+					r, err = baselineFresh(p, algo, 7, opts...)
 				}
 				if err != nil {
 					t.Fatalf("%s under %s: %v", algo, engine, err)
@@ -74,13 +74,13 @@ func TestEngineParity(t *testing.T) {
 // Monte-Carlo tolerance of the exhaustive MC reference under every engine.
 func TestEngineParityLazyID(t *testing.T) {
 	p := parityProblem(t)
-	ref, err := Solve(p, Options{Engine: "mc", Samples: 300, Seed: 7, ExhaustiveID: true})
+	ref, err := solveFresh(p, 7, WithEngine("mc"), WithSamples(300), WithExhaustiveID(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, engine := range Engines() {
 		for _, exhaustive := range []bool{false, true} {
-			r, err := Solve(p, Options{Engine: engine, Samples: 300, Seed: 7, ExhaustiveID: exhaustive})
+			r, err := solveFresh(p, 7, WithEngine(engine), WithSamples(300), WithExhaustiveID(exhaustive))
 			if err != nil {
 				t.Fatalf("S3CA under %s (exhaustive=%v): %v", engine, exhaustive, err)
 			}
@@ -93,10 +93,11 @@ func TestEngineParityLazyID(t *testing.T) {
 	}
 }
 
-// TestDiffusionSubstrateParity pins that the live-edge and hash substrates
-// are interchangeable bit for bit: the materialized worlds hold exactly the
-// flips the hash recomputes, so solver runs are identical — not merely
-// close — across substrates, for S3CA and every baseline.
+// TestDiffusionSubstrateParity pins that the live-edge memory budget is
+// invisible in results: the materialized worlds hold exactly the flips the
+// hash recomputes, so solver runs under the default budget and under one
+// below a single row (every probe hashed) are identical — not merely close
+// — for S3CA and every baseline.
 func TestDiffusionSubstrateParity(t *testing.T) {
 	p := parityProblem(t)
 	algos := append([]string{"S3CA"}, Baselines()...)
@@ -104,25 +105,25 @@ func TestDiffusionSubstrateParity(t *testing.T) {
 		for _, engine := range Engines() {
 			var rates []float64
 			var seeds [][]int
-			for _, diff := range Diffusions() {
-				opts := Options{Engine: engine, Diffusion: diff, Samples: 200, Seed: 7}
+			for _, budget := range []int64{0, 1} {
+				opts := []Option{WithEngine(engine), WithLiveEdgeMemBudget(budget), WithSamples(200)}
 				var (
 					r   *Result
 					err error
 				)
 				if algo == "S3CA" {
-					r, err = Solve(p, opts)
+					r, err = solveFresh(p, 7, opts...)
 				} else {
-					r, err = RunBaseline(algo, p, opts)
+					r, err = baselineFresh(p, algo, 7, opts...)
 				}
 				if err != nil {
-					t.Fatalf("%s under %s/%s: %v", algo, engine, diff, err)
+					t.Fatalf("%s under %s (budget %d): %v", algo, engine, budget, err)
 				}
 				rates = append(rates, r.RedemptionRate)
 				seeds = append(seeds, r.Seeds)
 			}
 			if rates[0] != rates[1] {
-				t.Errorf("%s under %s: substrates disagree: %v vs %v", algo, engine, rates[0], rates[1])
+				t.Errorf("%s under %s: budgets disagree: %v vs %v", algo, engine, rates[0], rates[1])
 			}
 			if len(seeds[0]) != len(seeds[1]) {
 				t.Errorf("%s under %s: seed sets differ: %v vs %v", algo, engine, seeds[0], seeds[1])
@@ -140,16 +141,13 @@ func TestDiffusionSubstrateParity(t *testing.T) {
 
 func TestEngineUnknownRejected(t *testing.T) {
 	p := parityProblem(t)
-	if _, err := Solve(p, Options{Engine: "quantum", Samples: 50, Seed: 1}); err == nil {
+	if _, err := solveFresh(p, 1, WithEngine("quantum"), WithSamples(50)); err == nil {
 		t.Fatal("Solve accepted an unknown engine")
 	}
-	if _, err := Solve(p, Options{Diffusion: "quantum", Samples: 50, Seed: 1}); err == nil {
-		t.Fatal("Solve accepted an unknown diffusion substrate")
-	}
-	if _, err := RunBaseline("IM-U", p, Options{Engine: "quantum", Samples: 50, Seed: 1}); err == nil {
+	if _, err := baselineFresh(p, "IM-U", 1, WithEngine("quantum"), WithSamples(50)); err == nil {
 		t.Fatal("RunBaseline accepted an unknown engine")
 	}
-	if _, err := p.Evaluate(Deployment{Seeds: []int{0}}, Options{Engine: "quantum", Samples: 50}); err == nil {
+	if _, err := evaluateFresh(p, Deployment{Seeds: []int{0}}, 0, WithEngine("quantum"), WithSamples(50)); err == nil {
 		t.Fatal("Evaluate accepted an unknown engine")
 	}
 }
@@ -172,12 +170,12 @@ func TestScenarioRoundTripResolves(t *testing.T) {
 			loaded.Users(), loaded.Edges(), loaded.Budget(),
 			orig.Users(), orig.Edges(), orig.Budget())
 	}
-	opts := Options{Engine: "worldcache", Samples: 200, Seed: 5}
-	a, err := Solve(orig, opts)
+	opts := []Option{WithEngine("worldcache"), WithSamples(200)}
+	a, err := solveFresh(orig, 5, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(loaded, opts)
+	b, err := solveFresh(loaded, 5, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

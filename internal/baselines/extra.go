@@ -44,37 +44,23 @@ func risRank(in *diffusion.Instance, cfg Config, maxSeeds int) ([]int32, error) 
 	return ranked, nil
 }
 
-// sketches draws count RR sets under the configured triggering model and
-// diffusion substrate: with the live-edge substrate (the default) an RR set
-// crosses an edge exactly when the forward engines would see it live in the
-// set's world — reading materialized model state within the memory budget,
-// hashing past it — so the sketches and the forward simulators share one
-// liveness source. The hash substrate keeps the sequential-stream drawing:
-// per-in-edge coins under IC (PR 1's behaviour), one categorical in-edge
-// draw per step under LT.
+// sketches draws count RR sets under the configured triggering model
+// through the live-edge substrate: an RR set crosses an edge exactly when
+// the forward engines would see it live in the set's world — reading
+// materialized model state within the memory budget, hashing past it — so
+// the sketches and the forward simulators share one liveness source.
 func (c Config) sketches(in *diffusion.Instance, count int, seed uint64) (*ris.Sketches, error) {
 	src := rng.New(seed)
+	coin := rng.NewCoin(seed)
 	if c.Model == diffusion.ModelLT {
-		if c.Diffusion == diffusion.DiffusionHash {
-			return ris.GenerateLT(in.G, count, src)
-		}
-		coin := rng.NewCoin(seed)
-		le := diffusion.NewLTLiveEdges(in.G, count, coin, c.LiveEdgeMemBudget, true)
+		le := diffusion.NewLTLiveEdges(in.G, count, coin, c.LiveEdgeMemBudget)
 		return ris.GenerateLiveLT(in.G, count, src, func(world, edge uint64, _ float64) bool {
-			// le is nil only for empty-edge graphs, where no probe occurs.
 			return le.Live(world, edge)
 		})
 	}
-	if c.Diffusion == diffusion.DiffusionHash {
-		return ris.Generate(in.G, count, src)
-	}
-	coin := rng.NewCoin(seed)
 	le := diffusion.NewLiveEdges(in.G, count, coin, c.LiveEdgeMemBudget)
-	return ris.GenerateLive(in.G, count, src, func(world, edge uint64, p float64) bool {
-		if le != nil {
-			return le.Live(world, edge)
-		}
-		return coin.Live(world, edge, p)
+	return ris.GenerateLive(in.G, count, src, func(world, edge uint64, _ float64) bool {
+		return le.Live(world, edge)
 	})
 }
 

@@ -13,7 +13,7 @@ import (
 // Config parameterizes the baseline runs.
 type Config struct {
 	// Evaluator, when non-nil, is a pre-built evaluation engine used
-	// instead of constructing one from Engine/Diffusion/Samples/Seed — the
+	// instead of constructing one from Engine/Model/Samples/Seed — the
 	// serving layer's injection point (see core.Options.Evaluator). The
 	// remaining engine fields should describe the injected engine: sketch
 	// pruning and RIS ranking still read them.
@@ -37,19 +37,12 @@ type Config struct {
 	// both the forward evaluations and RR-set drawing: linear-threshold
 	// sketches walk a single sampled in-edge per step.
 	Model string
-	// Diffusion selects the edge-liveness substrate (see
-	// diffusion.Diffusions; empty means diffusion.DiffusionLiveEdge —
-	// materialized live-edge worlds within LiveEdgeMemBudget, hashing past
-	// it). It also drives RR-set drawing: sketches cross an edge exactly
-	// when the forward engines would see it live in the set's world.
-	Diffusion string
 	// LiveEdgeMemBudget caps the live-edge substrate's materialized bytes
-	// (<= 0 means diffusion.DefaultLiveEdgeMemBudget).
+	// (<= 0 means diffusion.DefaultLiveEdgeMemBudget; past it probes hash,
+	// with identical outcomes). The substrate also drives RR-set drawing:
+	// sketches cross an edge exactly when the forward engines would see it
+	// live in the set's world.
 	LiveEdgeMemBudget int64
-	// EvalMode selects the world-evaluation kernel (see diffusion.EvalModes;
-	// empty means diffusion.EvalBitParallel — 64 worlds per machine word,
-	// bit-identical to diffusion.EvalScalar).
-	EvalMode string
 	// Samples is the Monte-Carlo sample count (default 1000) and Seed the
 	// estimator seed.
 	Samples int
@@ -91,8 +84,7 @@ func (c Config) engine(in *diffusion.Instance) (diffusion.Evaluator, error) {
 	ev, err := diffusion.NewEngineOpts(in, diffusion.EngineOptions{
 		Engine: c.Engine, Model: c.Model,
 		Samples: c.Samples, Seed: c.Seed, Workers: c.Workers,
-		Diffusion: c.Diffusion, LiveEdgeMemBudget: c.LiveEdgeMemBudget,
-		EvalMode: c.EvalMode,
+		LiveEdgeMemBudget: c.LiveEdgeMemBudget,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("baselines: %w", err)

@@ -75,23 +75,24 @@ func TestSeedCandidatesSketchDeterministic(t *testing.T) {
 }
 
 // TestSeedCandidatesSketchPruningLT drives the linear-threshold RR-set
-// paths end-to-end — ris.GenerateLT under the hash substrate and
-// ris.GenerateLiveLT over the LT chosen-in-edge substrate — through
-// sketchPrune: on the hub-vs-spreader instance (every node has a single
-// in-edge, so it is LT-valid as-is) both must keep the certain spreader. A
-// hard failure in either LT walk would fall back to degree pruning and
-// keep the hub, so the assertion catches silent breakage too.
+// path end-to-end — ris.GenerateLiveLT over the LT chosen-in-edge
+// substrate, with rows materialized and with every probe walking the in-row
+// (a budget below one row) — through sketchPrune: on the hub-vs-spreader
+// instance (every node has a single in-edge, so it is LT-valid as-is) both
+// must keep the certain spreader. A hard failure in the LT walk would fall
+// back to degree pruning and keep the hub, so the assertion catches silent
+// breakage too.
 func TestSeedCandidatesSketchPruningLT(t *testing.T) {
 	inst := sketchInstance(t)
-	for _, diff := range diffusion.Diffusions() {
+	for _, budget := range []int64{0, 1} {
 		cfg := Config{
 			CandidateCap: 1, Samples: 50, Seed: 3, RISSketches: 2000,
 			Engine: diffusion.EngineSketch, Model: diffusion.ModelLT,
-			Diffusion: diff,
+			LiveEdgeMemBudget: budget,
 		}.withDefaults()
 		got := seedCandidates(inst, cfg)
 		if len(got) != 1 || got[0] != 1 {
-			t.Fatalf("diffusion=%s: LT sketch pruning kept %v, want the certain spreader [1]", diff, got)
+			t.Fatalf("budget=%d: LT sketch pruning kept %v, want the certain spreader [1]", budget, got)
 		}
 	}
 }

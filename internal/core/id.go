@@ -534,7 +534,7 @@ func (s *solver) selectSnapshot(snapshots []*diffusion.Deployment) *diffusion.De
 }
 
 // newScorer builds the independent estimator stream snapshot selection
-// re-scores with, on the same engine and diffusion substrate as the
+// re-scores with, on the same engine and live-edge budget as the
 // solver's own evaluations (but a decorrelated coin, so the selection is
 // unbiased by the noise that guided the greedy).
 func (s *solver) newScorer() diffusion.Evaluator {
@@ -551,13 +551,11 @@ func (s *solver) newScorer() diffusion.Evaluator {
 	}
 	scorer, err := diffusion.NewEngineOpts(s.inst, diffusion.EngineOptions{
 		Engine: engine, Model: s.opts.Model, Samples: s.opts.Samples,
-		Seed: seed, Workers: s.opts.Workers,
-		Diffusion: s.opts.Diffusion, LiveEdgeMemBudget: s.opts.LiveEdgeMemBudget,
-		EvalMode: s.opts.EvalMode,
+		Seed: seed, Workers: s.opts.Workers, LiveEdgeMemBudget: s.opts.LiveEdgeMemBudget,
 	})
 	if err != nil {
 		// Reachable only with an injected Evaluator whose companion option
-		// fields name an unknown engine or substrate; fall back to the
+		// fields name an unknown engine or model; fall back to the
 		// plain estimator so selection still happens on a fresh stream.
 		est := diffusion.NewEstimator(s.inst, s.opts.Samples, seed)
 		est.Workers = s.opts.Workers

@@ -6,42 +6,21 @@ import (
 	"s3crm/internal/bitset"
 )
 
-// Eval-mode names accepted by EngineOptions.EvalMode and threaded through
-// core.Options, baselines.Config, eval.RunParams and the public
-// s3crm.WithEvalMode.
-const (
-	// EvalBitParallel (the default) evaluates 64 possible worlds per machine
-	// word: one BFS pass over the CSR propagates a whole world block, edge
-	// probes mask the block's live-bits word from the substrate, and only
-	// the sparse per-world events (activations, first probes) pay per-bit
-	// work. Outcomes are bit-identical to the scalar kernel — see DESIGN.md
-	// ("Bit-parallel evaluation"). Falls back to the scalar kernel
-	// automatically when the call has no liveness substrate to read block
-	// words from (IC under DiffusionHash).
-	EvalBitParallel = "bitparallel"
-	// EvalScalar walks worlds one at a time — the parity oracle the
-	// bit-parallel kernel is tested against, and the only kernel for IC
-	// hash-per-probe evaluation.
-	EvalScalar = "scalar"
-)
-
-// EvalModes lists the world-evaluation kernels in documentation order.
-func EvalModes() []string { return []string{EvalBitParallel, EvalScalar} }
-
-// bitParallel reports whether this estimator's evaluations run the 64-world
-// block kernel: the default unless scalar mode was requested or there is no
-// liveness substrate to mask block probes from (IC under DiffusionHash,
-// where every probe is a fresh hash).
-func (e *Estimator) bitParallel() bool {
-	return e.EvalMode != EvalScalar && e.Live != nil
-}
+// The block kernel is the only world-evaluation kernel: every engine sweeps
+// possible worlds 64 per machine word through simBlock. One BFS pass over
+// the CSR propagates a whole world block, edge probes mask the block's
+// live-bits word from the substrate, and only the sparse per-world events
+// (activations, first probes) pay per-bit work. Outcomes are bit-identical
+// to a one-world-at-a-time sweep — the scalar oracle the kernel parity
+// tests compare against; see DESIGN.md ("Bit-parallel evaluation").
 
 // blockEntry is one activation event in the block kernel's shared frontier
 // queue: node joined the cascade at hop, in exactly the worlds of mask.
 // Masks for the same node are disjoint across entries — a world activates a
 // node at most once — so the queue restricted to any single world is that
 // world's scalar activation order, which is what makes every per-world
-// outcome (including float accumulation order) bit-identical to simWorld.
+// outcome (including float accumulation order) bit-identical to a
+// one-world-at-a-time sweep.
 type blockEntry struct {
 	node int32
 	hop  int32
@@ -108,10 +87,11 @@ func (e *Estimator) getBlockScratch() *blockScratch {
 func (e *Estimator) putBlockScratch(bs *blockScratch) { e.blockPool.Put(bs) }
 
 // simBlock propagates the 64 worlds [worldBase, worldBase+64) selected by
-// blockMask for deployment d — simWorld's block counterpart, evaluating the
-// whole block in one BFS pass over the CSR. worldBase must be 64-aligned.
+// blockMask for deployment d, evaluating the whole block in one BFS pass
+// over the CSR. worldBase must be 64-aligned; a one-bit mask evaluates a
+// lone world.
 //
-// Per-world outcomes are bit-identical to 64 simWorld calls. The coupon
+// Per-world outcomes are bit-identical to 64 one-world sweeps. The coupon
 // capacity makes cascades order-dependent (an offer scan consumes coupons
 // in adjacency order, skipping already-active targets for free), so the
 // kernel replicates each world's scalar event order exactly: entries are
@@ -244,20 +224,22 @@ func (e *Estimator) simBlock(bs *blockScratch, d *Deployment, worldBase uint64, 
 	}
 }
 
-// runBlocks is run's block-kernel counterpart: worlds [lo, hi) are swept in
+// run simulates worlds [lo, hi) and returns means over that slice tagged
+// with its weight relative to the full sample count. Worlds are swept in
 // 64-aligned blocks (partial masks at the ragged ends), and the per-world
 // aggregates are folded in ascending world order — the same summation
-// sequence as the scalar sweep, so the Result is bit-identical for any
-// [lo, hi) split.
-func (e *Estimator) runBlocks(d *Deployment, lo, hi int) Result {
+// sequence as a one-world-at-a-time sweep, so the Result is bit-identical
+// for any [lo, hi) split.
+func (e *Estimator) run(d *Deployment, lo, hi int) Result {
 	bs := e.getBlockScratch()
 	defer e.putBlockScratch(bs)
 	var sumB, sumB2, sumC, sumA, sumH, sumX float64
 	nblocks := int64(0)
 	for base := lo &^ bitset.WordMask; base < hi; base += bitset.WordBits {
 		if e.cancelled() {
-			// Abort mid-sweep; as in the scalar kernel, the caller must check
-			// ctx.Err() before trusting anything produced after cancellation.
+			// Abort mid-sweep: the partial sums are meaningless, but the
+			// caller is contractually bound to check ctx.Err() before
+			// trusting anything produced after cancellation.
 			break
 		}
 		blo, bhi := 0, bitset.WordBits

@@ -6,42 +6,38 @@ import (
 	"s3crm/internal/rng"
 )
 
-// enginePair builds the same engine twice over shared possible worlds,
-// once per eval mode. The configuration grid is the full supported space:
-// both triggering models, both substrates, both engines.
-func enginePair(t testing.TB, inst *Instance, engine, model, diffusion string, samples int, seed uint64, workers int) (scalar, block Evaluator) {
+// buildEngine constructs one engine of the parity grid. budget 0 is the
+// default live-edge budget, hashBudget hashes every probe.
+func buildEngine(t testing.TB, inst *Instance, engine, model string, budget int64, samples int, seed uint64, workers int) Evaluator {
 	t.Helper()
-	build := func(mode string) Evaluator {
-		ev, err := NewEngineOpts(inst, EngineOptions{
-			Engine: engine, Model: model, Diffusion: diffusion,
-			Samples: samples, Seed: seed, Workers: workers, EvalMode: mode,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ev
+	ev, err := NewEngineOpts(inst, EngineOptions{
+		Engine: engine, Model: model, LiveEdgeMemBudget: budget,
+		Samples: samples, Seed: seed, Workers: workers,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return build(EvalScalar), build(EvalBitParallel)
+	return ev
 }
 
-// TestBitParallelScalarParity is the tentpole's contract: across every
+// TestBitParallelScalarParity is the kernel's contract: across every
 // (engine, model, substrate) cell and at sample counts exercising full and
 // ragged tail blocks, the bit-parallel kernel returns Results bit-identical
-// to the scalar kernel — every field, not just the benefit. The 37- and
+// to the scalar oracle — every field, not just the benefit. The 37- and
 // 70-sample cells force partial block masks (37 < 64 < 70 < 128), the
 // 200-sample cell a multi-block run.
 func TestBitParallelScalarParity(t *testing.T) {
 	inst := liveEdgeInstance(t)
 	for _, engine := range []string{EngineMC, EngineWorldCache} {
 		for _, model := range Models() {
-			for _, diff := range Diffusions() {
+			for _, sub := range substrates {
 				for _, samples := range []int{37, 70, 200} {
-					t.Run(engine+"/"+model+"/"+diff, func(t *testing.T) {
-						sc, bp := enginePair(t, inst, engine, model, diff, samples, 7, 0)
+					t.Run(engine+"/"+model+"/"+sub.name, func(t *testing.T) {
+						ev := buildEngine(t, inst, engine, model, sub.budget, samples, 7, 0)
 						for i, d := range liveEdgeDeployments(inst) {
-							a, b := sc.Evaluate(d), bp.Evaluate(d)
-							if a != b {
-								t.Fatalf("samples=%d deployment %d: scalar %v != bitparallel %v", samples, i, a, b)
+							got, want := ev.Evaluate(d), estimatorOf(ev).oracleEvaluate(d)
+							if got != want {
+								t.Fatalf("samples=%d deployment %d: bitparallel %v != oracle %v", samples, i, got, want)
 							}
 						}
 					})
@@ -51,169 +47,146 @@ func TestBitParallelScalarParity(t *testing.T) {
 	}
 }
 
-// TestBitParallelHashICFallback pins the automatic fallback: IC under the
-// hash substrate materializes no liveness rows, so the bit-parallel mode
-// silently runs the scalar kernel — identical results, zero block
-// evaluations — instead of failing or hashing per (world, edge, bit).
+// TestBitParallelHashICFallback pins the sub-row budget under both models:
+// the substrate materializes no liveness rows, and the block kernel still
+// runs — hashing per probed world inside BlockMask — with results identical
+// to the oracle.
 func TestBitParallelHashICFallback(t *testing.T) {
 	inst := liveEdgeInstance(t)
-	sc, bp := enginePair(t, inst, EngineMC, ModelIC, DiffusionHash, 128, 9, 0)
-	for i, d := range liveEdgeDeployments(inst) {
-		a, b := sc.Evaluate(d), bp.Evaluate(d)
-		if a != b {
-			t.Fatalf("deployment %d: scalar %v != bitparallel-fallback %v", i, a, b)
+	for _, model := range Models() {
+		ev := buildEngine(t, inst, EngineMC, model, hashBudget, 128, 9, 0)
+		est := ev.(*Estimator)
+		for i, d := range liveEdgeDeployments(inst) {
+			if got, want := est.Evaluate(d), est.oracleEvaluate(d); got != want {
+				t.Fatalf("%s deployment %d: bitparallel %v != oracle %v", model, i, got, want)
+			}
 		}
-	}
-	if got := bp.(*Estimator).BlockEvals(); got != 0 {
-		t.Fatalf("hash-IC fallback ran %d block evaluations, want 0", got)
-	}
-	if bp.(*Estimator).Evals() == 0 {
-		t.Fatal("fallback performed no evaluations at all")
-	}
-	// LT always carries a substrate, so the same configuration under LT
-	// does run the block kernel.
-	_, lt := enginePair(t, inst, EngineMC, ModelLT, DiffusionHash, 128, 9, 0)
-	lt.Evaluate(liveEdgeDeployments(inst)[0])
-	if got := lt.(*Estimator).BlockEvals(); got == 0 {
-		t.Fatal("hash-LT ran no block evaluations; expected the block kernel")
+		if est.BlockEvals() == 0 {
+			t.Fatalf("%s: a sub-row budget ran no block evaluations", model)
+		}
+		if spent := est.Live.SpentBytes(); spent != 0 {
+			t.Fatalf("%s: a sub-row budget committed %d bytes", model, spent)
+		}
 	}
 }
 
 // TestBitParallelMemCapParity squeezes the live-edge budget to three rows,
 // so block probes mix one-load materialized masks with the per-bit coin
-// fallback inside a single scan. Outcomes must stay identical to scalar.
+// fallback inside a single scan. Outcomes must stay identical to the oracle.
 func TestBitParallelMemCapParity(t *testing.T) {
 	inst := liveEdgeInstance(t)
 	const samples = 100
 	rowBytes := int64((samples + 63) / 64 * 8)
-	build := func(mode string) Evaluator {
-		ev, err := NewEngineOpts(inst, EngineOptions{
-			Engine: EngineMC, Samples: samples, Seed: 3,
-			Diffusion: DiffusionLiveEdge, LiveEdgeMemBudget: 3 * rowBytes,
-			EvalMode: mode,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ev
-	}
-	sc, bp := build(EvalScalar), build(EvalBitParallel)
+	est := buildEngine(t, inst, EngineMC, ModelIC, 3*rowBytes, samples, 3, 0).(*Estimator)
 	for i, d := range liveEdgeDeployments(inst) {
-		a, b := sc.Evaluate(d), bp.Evaluate(d)
-		if a != b {
-			t.Fatalf("deployment %d: scalar %v != bitparallel %v under a 3-row budget", i, a, b)
+		if got, want := est.Evaluate(d), est.oracleEvaluate(d); got != want {
+			t.Fatalf("deployment %d: bitparallel %v != oracle %v under a 3-row budget", i, got, want)
 		}
 	}
-	if bp.(*Estimator).BlockEvals() == 0 {
+	if est.BlockEvals() == 0 {
 		t.Fatal("capped substrate ran no block evaluations")
 	}
 }
 
-// TestBitParallelWorkersParity checks the two kernels agree exactly at
-// every worker count: both modes share the same (unaligned) worker splits,
-// so the partial blocks a split boundary cuts must reproduce the scalar
+// TestBitParallelWorkersParity checks the kernel matches the oracle exactly
+// at every worker count: both share the same (unaligned) worker splits, so
+// the partial blocks a split boundary cuts must reproduce the scalar
 // per-world outcomes bit for bit. (Parallel vs sequential differs in the
-// last float bits by the pre-existing per-range fold, in both modes alike —
-// that cross-count drift is pinned to tolerance, not exactness.)
+// last float bits by the per-range fold — that cross-count drift is pinned
+// to tolerance, not exactness.)
 func TestBitParallelWorkersParity(t *testing.T) {
 	inst := liveEdgeInstance(t)
 	const samples = 200
 	d := liveEdgeDeployments(inst)[0]
-	seq, _ := enginePair(t, inst, EngineMC, ModelIC, DiffusionLiveEdge, samples, 7, 0)
-	want := seq.Evaluate(d)
+	want := buildEngine(t, inst, EngineMC, ModelIC, 0, samples, 7, 0).Evaluate(d)
 	for _, workers := range []int{2, 3, 7} {
-		sc, bp := enginePair(t, inst, EngineMC, ModelIC, DiffusionLiveEdge, samples, 7, workers)
-		a, b := sc.Evaluate(d), bp.Evaluate(d)
-		if a != b {
-			t.Fatalf("workers=%d: scalar %v != bitparallel %v", workers, a, b)
+		est := buildEngine(t, inst, EngineMC, ModelIC, 0, samples, 7, workers).(*Estimator)
+		got, oracle := est.Evaluate(d), est.oracleEvaluate(d)
+		if got != oracle {
+			t.Fatalf("workers=%d: bitparallel %v != oracle %v", workers, got, oracle)
 		}
-		if !almost(a.Benefit, want.Benefit, 1e-9) || !almost(a.FarthestHop, want.FarthestHop, 1e-9) {
-			t.Fatalf("workers=%d: parallel %v drifted from sequential %v", workers, a, want)
+		if !almost(got.Benefit, want.Benefit, 1e-9) || !almost(got.FarthestHop, want.FarthestHop, 1e-9) {
+			t.Fatalf("workers=%d: parallel %v drifted from sequential %v", workers, got, want)
 		}
 	}
 }
 
 // TestWorldCacheBitParallelSequenceParity drives the world cache through a
 // rebase chain — coupon increments, seed additions, candidate delta sweeps
-// and sparse delta evaluations — under both eval modes and compares every
-// answer exactly. The chain covers the incremental paths the Rebase fast
-// paths take (advance, advanceSeed, patch vs re-simulate) on top of the
-// full-rebase block kernel, at a sample count with a ragged tail block.
+// and sparse delta evaluations — and checks every answer against the scalar
+// oracle: each Rebase result field for field, every world snapshot, and
+// each EvaluateDelta exactly. Candidate deltas must match a cache cold-
+// rebased onto the same deployment. The chain covers the incremental paths
+// the Rebase fast paths take (advance, advanceSeed, patch vs re-simulate)
+// on top of the full-rebase block kernel, at a sample count with a ragged
+// tail block.
 func TestWorldCacheBitParallelSequenceParity(t *testing.T) {
 	inst := randomInstance(t, 40, 140, 61)
 	const samples = 170 // 2 full blocks + a 42-world tail
-	runChain := func(mode string) ([]Result, [][]float64, []float64) {
-		wc := NewWorldCache(inst, samples, 63, 0)
-		wc.Est.EvalMode = mode
-		d := randomDeployment(inst, 2, 5, 62)
-		src := rng.New(64)
-		var results []Result
-		var deltas [][]float64
-		var sparse []float64
-		for step := 0; step < 8; step++ {
-			if step%3 == 2 {
-				v := int32(src.Intn(inst.G.NumNodes()))
-				for d.IsSeed(v) {
-					v = int32(src.Intn(inst.G.NumNodes()))
-				}
-				d.AddSeed(v)
-			} else {
-				v := int32(src.Intn(inst.G.NumNodes()))
-				if d.K(v) < inst.G.OutDegree(v) {
-					d.AddK(v, 1)
-				}
+	wc := NewWorldCache(inst, samples, 63, 0)
+	d := randomDeployment(inst, 2, 5, 62)
+	src := rng.New(64)
+	for step := 0; step < 8; step++ {
+		if step%3 == 2 {
+			v := int32(src.Intn(inst.G.NumNodes()))
+			for d.IsSeed(v) {
+				v = int32(src.Intn(inst.G.NumNodes()))
 			}
-			var cands []int32
-			for v := int32(0); v < int32(inst.G.NumNodes()); v++ {
-				if d.K(v) < inst.G.OutDegree(v) {
-					cands = append(cands, v)
-				}
-			}
-			results = append(results, wc.Rebase(d))
-			deltas = append(deltas, wc.DeltaBenefits(cands))
-			trial := d.Clone()
-			v := cands[src.Intn(len(cands))]
-			trial.AddK(v, 1)
-			sparse = append(sparse, wc.EvaluateDelta(trial, []int32{v}))
-		}
-		return results, deltas, sparse
-	}
-	scRes, scDeltas, scSparse := runChain(EvalScalar)
-	bpRes, bpDeltas, bpSparse := runChain(EvalBitParallel)
-	for step := range scRes {
-		if scRes[step] != bpRes[step] {
-			t.Fatalf("step %d: Rebase scalar %v != bitparallel %v", step, scRes[step], bpRes[step])
-		}
-		for i := range scDeltas[step] {
-			if scDeltas[step][i] != bpDeltas[step][i] {
-				t.Fatalf("step %d candidate %d: delta scalar %v != bitparallel %v",
-					step, i, scDeltas[step][i], bpDeltas[step][i])
+			d.AddSeed(v)
+		} else {
+			v := int32(src.Intn(inst.G.NumNodes()))
+			if d.K(v) < inst.G.OutDegree(v) {
+				d.AddK(v, 1)
 			}
 		}
-		if scSparse[step] != bpSparse[step] {
-			t.Fatalf("step %d: EvaluateDelta scalar %v != bitparallel %v",
-				step, scSparse[step], bpSparse[step])
+		var cands []int32
+		for v := int32(0); v < int32(inst.G.NumNodes()); v++ {
+			if d.K(v) < inst.G.OutDegree(v) {
+				cands = append(cands, v)
+			}
+		}
+		if got, want := wc.Rebase(d), wc.Est.oracleEvaluate(d); got != want {
+			t.Fatalf("step %d: Rebase %v != oracle %v", step, got, want)
+		}
+		checkSnapshots(t, wc)
+		cold := NewWorldCache(inst, samples, 63, 0)
+		cold.Rebase(d)
+		got, want := wc.DeltaBenefits(cands), cold.DeltaBenefits(cands)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("step %d candidate %d: delta %v != cold %v", step, cands[i], got[i], want[i])
+			}
+		}
+		trial := d.Clone()
+		v := cands[src.Intn(len(cands))]
+		trial.AddK(v, 1)
+		if got, want := wc.EvaluateDelta(trial, []int32{v}), wc.oracleEvaluateDelta(trial, []int32{v}); got != want {
+			t.Fatalf("step %d: EvaluateDelta %v != oracle %v", step, got, want)
 		}
 	}
 }
 
-// TestWorldCacheBitParallelTiersParity repeats the membership-tier
-// squeeze under the block kernel: dense bit rows, the CSR inverted index
-// and the stamp sweep must all produce the same Rebase chain whether
-// re-simulation runs scalar or 64 worlds at a time.
+// TestWorldCacheBitParallelTiersParity repeats the chain under each
+// membership tier: dense bit rows, the CSR inverted index and the stamp
+// sweep must all keep every Rebase result and snapshot identical to the
+// scalar oracle.
 func TestWorldCacheBitParallelTiersParity(t *testing.T) {
 	inst := randomInstance(t, 40, 140, 61)
 	const samples = 170
 	origAct, origDense := maxActBitsetBytes, maxDenseScanBytes
 	defer func() { maxActBitsetBytes, maxDenseScanBytes = origAct, origDense }()
-
-	runChain := func(mode string, actBudget, denseBudget int64) []Result {
-		maxActBitsetBytes, maxDenseScanBytes = actBudget, denseBudget
+	for _, tier := range []struct {
+		name       string
+		act, dense int64
+	}{
+		{"dense", origAct, origDense},
+		{"index", origAct, 0},
+		{"sweep", 0, 0},
+	} {
+		maxActBitsetBytes, maxDenseScanBytes = tier.act, tier.dense
 		wc := NewWorldCache(inst, samples, 63, 0)
-		wc.Est.EvalMode = mode
 		d := randomDeployment(inst, 2, 5, 62)
 		src := rng.New(64)
-		var results []Result
 		for step := 0; step < 6; step++ {
 			if step%2 == 0 {
 				v := int32(src.Intn(inst.G.NumNodes()))
@@ -227,24 +200,10 @@ func TestWorldCacheBitParallelTiersParity(t *testing.T) {
 				}
 				d.AddSeed(v)
 			}
-			results = append(results, wc.Rebase(d))
-		}
-		return results
-	}
-	for _, tier := range []struct {
-		name       string
-		act, dense int64
-	}{
-		{"dense", origAct, origDense},
-		{"index", origAct, 0},
-		{"sweep", 0, 0},
-	} {
-		sc := runChain(EvalScalar, tier.act, tier.dense)
-		bp := runChain(EvalBitParallel, tier.act, tier.dense)
-		for step := range sc {
-			if sc[step] != bp[step] {
-				t.Fatalf("%s tier step %d: scalar %v != bitparallel %v", tier.name, step, sc[step], bp[step])
+			if got, want := wc.Rebase(d), wc.Est.oracleEvaluate(d); got != want {
+				t.Fatalf("%s tier step %d: Rebase %v != oracle %v", tier.name, step, got, want)
 			}
+			checkSnapshots(t, wc)
 		}
 	}
 }
@@ -280,50 +239,20 @@ func TestWorldCacheBitParallelRebaseWorkers(t *testing.T) {
 	}
 }
 
-// TestEvalModeValidation pins the option-layer contract: the empty string
-// and both names construct; anything else is rejected with the engine
-// option error shape.
-func TestEvalModeValidation(t *testing.T) {
-	inst := liveEdgeInstance(t)
-	for _, mode := range []string{"", EvalBitParallel, EvalScalar} {
-		if _, err := NewEngineOpts(inst, EngineOptions{Samples: 10, EvalMode: mode}); err != nil {
-			t.Fatalf("EvalMode %q rejected: %v", mode, err)
-		}
-	}
-	if _, err := NewEngineOpts(inst, EngineOptions{Samples: 10, EvalMode: "simd"}); err == nil {
-		t.Fatal("unknown eval mode accepted")
-	}
-}
-
-// TestBenefitSqMeanMoments pins the second-moment channel both kernels
-// feed the serving layer's error bars: E[B²] can never fall below (E[B])²
-// (Jensen), a single world is degenerate (E[B²] = (E[B])² exactly), and —
-// via the struct equality in the parity tests above — the two kernels
-// accumulate it bit-identically.
+// TestBenefitSqMeanMoments pins the second-moment channel the kernel
+// feeds the serving layer's error bars: E[B²] can never fall below (E[B])²
+// (Jensen), and a single world is degenerate (E[B²] = (E[B])² exactly).
+// The struct equality in the parity tests above pins it to the oracle.
 func TestBenefitSqMeanMoments(t *testing.T) {
 	inst := liveEdgeInstance(t)
-	for _, mode := range []string{EvalScalar, EvalBitParallel} {
-		ev, err := NewEngineOpts(inst, EngineOptions{
-			Engine: EngineMC, Samples: 128, Seed: 7,
-			Diffusion: DiffusionLiveEdge, EvalMode: mode,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, d := range liveEdgeDeployments(inst) {
-			res := ev.Evaluate(d)
-			if res.BenefitSqMean < res.Benefit*res.Benefit-1e-9 {
-				t.Fatalf("%s deployment %d: E[B²]=%v < (E[B])²=%v",
-					mode, i, res.BenefitSqMean, res.Benefit*res.Benefit)
-			}
+	ev := buildEngine(t, inst, EngineMC, ModelIC, 0, 128, 7, 0)
+	for i, d := range liveEdgeDeployments(inst) {
+		res := ev.Evaluate(d)
+		if res.BenefitSqMean < res.Benefit*res.Benefit-1e-9 {
+			t.Fatalf("deployment %d: E[B²]=%v < (E[B])²=%v", i, res.BenefitSqMean, res.Benefit*res.Benefit)
 		}
 	}
-	one, err := NewEngineOpts(inst, EngineOptions{
-		Engine: EngineMC, Samples: 1, Seed: 7, Diffusion: DiffusionLiveEdge,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := buildEngine(t, inst, EngineMC, ModelIC, 0, 1, 7, 0)
 	res := one.Evaluate(liveEdgeDeployments(inst)[0])
 	if !almost(res.BenefitSqMean, res.Benefit*res.Benefit, 1e-12) {
 		t.Fatalf("single world: E[B²]=%v, (E[B])²=%v — must coincide",

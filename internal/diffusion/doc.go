@@ -38,14 +38,15 @@
 // Edge liveness comes from a stateless hash — of (seed, world, edge) under
 // ModelIC, of (seed, world, target node) walked down the in-row under
 // ModelLT — giving common random numbers, so every deployment sees
-// identical worlds; it is either recomputed per probe (DiffusionHash) or
-// materialized once per world into the model's row layout
-// (DiffusionLiveEdge, the default; see LiveEdges).
+// identical worlds. Every estimator probes it through one LiveEdges
+// substrate, which materializes it once per world into the model's row
+// layout within a memory budget and recomputes the hash per probe past it.
 //
-// The single propagation kernel (Estimator.simWorld) iterates the graph's
-// CSR rows directly — a row's global base offset doubles as the coin-flip
-// edge identity — and is shared by every engine, which is what keeps their
-// reported metrics bit-identical. Work shards across workers by contiguous
+// The single propagation kernel (Estimator.simBlock) evaluates 64 possible
+// worlds per machine word, iterating the graph's CSR rows directly — a
+// row's global base offset doubles as the coin-flip edge identity — and is
+// shared by every engine, which is what keeps their reported metrics
+// bit-identical. Work shards across workers by contiguous
 // world ranges (worlds are independent; per-worker partial sums recombine
 // in world order, so parallel evaluation equals sequential exactly); graph
 // construction, by contrast, shards by contiguous node ranges (see

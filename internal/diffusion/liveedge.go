@@ -8,32 +8,6 @@ import (
 	"s3crm/internal/rng"
 )
 
-// Diffusion substrate names accepted by EngineOptions.Diffusion and threaded
-// through core.Options, baselines.Config, eval.RunParams and the public
-// s3crm.Options.
-const (
-	// DiffusionLiveEdge (the default) materializes each world's edge
-	// liveness once so the propagation kernel, the world-cache frontier
-	// replay and RIS sketch generation read precomputed state instead of
-	// recomputing a splitmix64 hash chain per probe. What is materialized
-	// is owned by the triggering model: under IC, per-edge bit rows (one
-	// bit per possible world); under LT, per-node chosen-in-edge rows (the
-	// forward index of the node's selected in-edge per world). Under common
-	// random numbers liveness is deployment-independent, which is what
-	// makes the one-off materialization sound. Rows are filled lazily on
-	// first probe (state no cascade ever reaches costs nothing) and capped
-	// by a memory budget, beyond which probes fall back to hashing —
-	// results are identical either way.
-	DiffusionLiveEdge = "liveedge"
-	// DiffusionHash recomputes the stateless per-probe function every time
-	// (PR 1's behaviour for IC; for LT, the categorical in-row walk):
-	// zero memory overhead, identical outcomes.
-	DiffusionHash = "hash"
-)
-
-// Diffusions lists the diffusion substrates in documentation order.
-func Diffusions() []string { return []string{DiffusionLiveEdge, DiffusionHash} }
-
 // DefaultLiveEdgeMemBudget caps the memory a LiveEdges substrate may commit
 // to materialized rows: 256 MiB, enough for 1000 worlds over a
 // two-million-edge graph even if every edge is probed.
@@ -56,11 +30,14 @@ const DefaultLiveEdgeMemBudget = int64(256) << 20
 //     probe of edge e answers chosen[target(e)][world] == e, so at most one
 //     in-edge of a node is ever live in a world.
 //
-// Rows fill lazily on first probe and the total is capped by a byte budget;
-// once the budget is exhausted the remaining probes hash per probe, with
-// identical outcomes (the rows hold the hash function's own draws). Filling
-// is safe for concurrent use: workers racing on a row each build the
-// (identical, deterministic) contents and the first CAS wins.
+// Under common random numbers liveness is deployment-independent, which is
+// what makes the one-off materialization sound. Rows fill lazily on first
+// probe (state no cascade ever reaches costs nothing) and the total is
+// capped by a byte budget — the substrate's only setting. Once the budget is
+// exhausted, or when it cannot hold a single row, the remaining probes hash
+// per probe, with identical outcomes (the rows hold the hash function's own
+// draws). Filling is safe for concurrent use: workers racing on a row each
+// build the (identical, deterministic) contents and the first CAS wins.
 type LiveEdges struct {
 	coin    rng.Coin
 	samples int
@@ -88,7 +65,7 @@ type LiveEdges struct {
 
 	// LT state: per-node chosen-in-edge rows over the shared reverse CSR.
 	lt          bool
-	materialize bool         // false ⇒ every LT probe walks the in-row by hash
+	materialize bool         // false (budget below one row) ⇒ every LT probe walks the in-row by hash
 	g           *graph.Graph // reverse CSR access for the categorical walk
 	targets     []int32      // coin key → target node, split like probs
 	tailTargets []int32
@@ -122,19 +99,16 @@ func (le *LiveEdges) rowPtr(edge uint64) *atomic.Pointer[[]uint64] {
 }
 
 // NewLiveEdges returns the independent-cascade substrate for samples worlds
-// over g using coin, or nil when the budget cannot hold even a single row —
-// the caller then probes the coin directly, with identical outcomes.
-// memBudget <= 0 means DefaultLiveEdgeMemBudget.
+// over g using coin. It is never nil for a positive sample count: on an
+// edgeless graph it holds no rows yet (Extend adds slots as edges arrive),
+// and a budget below one row leaves every probe hashing. memBudget <= 0
+// means DefaultLiveEdgeMemBudget.
 func NewLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64) *LiveEdges {
-	if memBudget <= 0 {
-		memBudget = DefaultLiveEdgeMemBudget
-	}
-	if samples <= 0 || g.NumEdges() == 0 {
+	if samples <= 0 {
 		return nil
 	}
-	words := (samples + 63) / 64
-	if int64(words)*8 > memBudget {
-		return nil // cannot materialize anything useful
+	if memBudget <= 0 {
+		memBudget = DefaultLiveEdgeMemBudget
 	}
 	baseP, _, tailP, _ := g.KeyViewParts()
 	return &LiveEdges{
@@ -142,7 +116,7 @@ func NewLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64) *
 		probs:     baseP,
 		tailProbs: tailP,
 		samples:   samples,
-		words:     words,
+		words:     (samples + 63) / 64,
 		worldMix:  rng.WorldMix(samples),
 		rows:      make([]atomic.Pointer[[]uint64], g.NumEdges()),
 		budget:    memBudget,
@@ -150,22 +124,20 @@ func NewLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64) *
 }
 
 // NewLTLiveEdges returns the linear-threshold substrate for samples worlds
-// over g using coin. Unlike the IC constructor it is required under LT even
-// for hash-per-probe evaluation — the categorical in-row walk needs the
-// reverse CSR — so materialize selects between DiffusionLiveEdge (per-node
-// chosen rows within memBudget, hashing past it) and DiffusionHash (walk on
-// every probe). Outcomes are identical either way. nil is returned only for
-// empty-edge or zero-sample inputs, where no probe can ever occur.
-// memBudget <= 0 means DefaultLiveEdgeMemBudget.
+// over g using coin: per-node chosen-in-edge rows within memBudget, the
+// categorical walk down the reverse CSR's in-row past it (or on every probe
+// when the budget cannot hold one row). Outcomes are identical either way.
+// Like NewLiveEdges it is never nil for a positive sample count, edgeless
+// graphs included. memBudget <= 0 means DefaultLiveEdgeMemBudget.
 //
 // Callers must have established the LT precondition (ValidateLTWeights):
 // in-weight sums above 1 would truncate the categorical walk.
-func NewLTLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64, materialize bool) *LiveEdges {
+func NewLTLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64) *LiveEdges {
+	if samples <= 0 {
+		return nil
+	}
 	if memBudget <= 0 {
 		memBudget = DefaultLiveEdgeMemBudget
-	}
-	if samples <= 0 || g.NumEdges() == 0 {
-		return nil
 	}
 	baseP, baseT, tailP, tailT := g.KeyViewParts()
 	le := &LiveEdges{
@@ -179,7 +151,7 @@ func NewLTLiveEdges(g *graph.Graph, samples int, coin rng.Coin, memBudget int64,
 		targets:     baseT,
 		tailTargets: tailT,
 	}
-	if materialize && int64(samples)*4 <= memBudget {
+	if int64(samples)*4 <= memBudget {
 		le.materialize = true
 		le.chosen = make([]atomic.Pointer[[]int32], g.NumNodes())
 	}
@@ -209,7 +181,7 @@ func (le *LiveEdges) Live(world uint64, edge uint64) bool {
 // calls: under IC the materialized row IS the block word (one load, one
 // AND), and every fallback — budget-exhausted IC rows, LT chosen-row
 // compares, the LT categorical walk — recomputes exactly the per-world draw
-// the scalar path reads.
+// Live reads.
 func (le *LiveEdges) BlockMask(worldBase uint64, edge uint64, probe uint64) uint64 {
 	if probe == 0 {
 		return 0

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"s3crm/internal/gen"
+	"s3crm/internal/graph"
 	"s3crm/internal/rng"
 )
 
@@ -53,29 +54,22 @@ func liveEdgeDeployments(inst *Instance) []*Deployment {
 	return ds
 }
 
-// substratePair returns hash- and live-substrate estimators for the given
-// triggering model over shared possible worlds: under IC the hash side
-// probes the coin directly (Live == nil); under LT both sides carry the LT
-// substrate, differing only in materialization.
+// substratePair returns estimators for the given triggering model over
+// shared possible worlds whose substrates differ only in their memory
+// budget: hashed cannot hold a single row and hashes every probe, lived
+// materializes rows under the default budget.
 func substratePair(t testing.TB, inst *Instance, model string, samples int, seed uint64, workers int) (hashed, lived *Estimator) {
 	t.Helper()
-	hashed = NewEstimator(inst, samples, seed)
-	hashed.Workers = workers
-	lived = NewEstimator(inst, samples, seed)
-	lived.Workers = workers
-	switch model {
-	case ModelIC:
-		lived.Live = NewLiveEdges(inst.G, samples, lived.Coin, 0)
-	case ModelLT:
-		hashed.Live = NewLTLiveEdges(inst.G, samples, hashed.Coin, 0, false)
-		lived.Live = NewLTLiveEdges(inst.G, samples, lived.Coin, 0, true)
-	default:
-		t.Fatalf("unknown model %q", model)
+	build := func(budget int64) *Estimator {
+		ev, err := NewEngineOpts(inst, EngineOptions{
+			Model: model, Samples: samples, Seed: seed, Workers: workers, LiveEdgeMemBudget: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev.(*Estimator)
 	}
-	if lived.Live == nil {
-		t.Fatal("live substrate unexpectedly over the default memory budget")
-	}
-	return hashed, lived
+	return build(hashBudget), build(0)
 }
 
 // TestLiveVsHashParity pins the substrate's core guarantee for both
@@ -137,14 +131,24 @@ func TestLiveEdgeWorldCacheParity(t *testing.T) {
 }
 
 // TestLiveEdgeMemCapFallback exercises the memory-cap path: a budget too
-// small for even one row makes the constructor decline entirely; a budget
-// holding only a few rows makes later probes hash; results are unchanged
-// in both regimes.
+// small for even one row still yields a substrate, which commits nothing
+// and hashes every probe; a budget holding only a few rows makes later
+// probes hash; results are unchanged in both regimes.
 func TestLiveEdgeMemCapFallback(t *testing.T) {
 	inst := liveEdgeInstance(t)
 	const samples = 100
-	if le := NewLiveEdges(inst.G, samples, rng.NewCoin(3), 8); le != nil {
-		t.Fatalf("NewLiveEdges accepted a %d-byte row under an 8-byte budget", (samples+63)/64*8)
+	probs := inst.G.Probs()
+	none := NewLiveEdges(inst.G, samples, rng.NewCoin(3), 8)
+	if none == nil {
+		t.Fatal("NewLiveEdges returned nil under a sub-row budget")
+	}
+	for e := 0; e < inst.G.NumEdges(); e += 5 {
+		if got, want := none.Live(11, uint64(e)), none.coin.Live(11, uint64(e), probs[e]); got != want {
+			t.Fatalf("edge %d: sub-row substrate %v, coin %v", e, got, want)
+		}
+	}
+	if spent := none.SpentBytes(); spent != 0 {
+		t.Fatalf("sub-row substrate committed %d bytes", spent)
 	}
 
 	// Budget for exactly three rows: the fourth distinct edge must fall
@@ -155,7 +159,6 @@ func TestLiveEdgeMemCapFallback(t *testing.T) {
 		t.Fatal("NewLiveEdges declined a three-row budget")
 	}
 	coin := rng.NewCoin(3)
-	probs := inst.G.Probs()
 	for e := 0; e < inst.G.NumEdges(); e++ {
 		for w := uint64(0); w < uint64(samples); w += 7 {
 			if got, want := tiny.Live(w, uint64(e)), coin.Live(w, uint64(e), probs[e]); got != want {
@@ -167,17 +170,16 @@ func TestLiveEdgeMemCapFallback(t *testing.T) {
 		t.Fatalf("substrate committed %d bytes under a %d-byte budget", spent, 3*rowBytes)
 	}
 
-	// An engine under the tiny budget still evaluates identically to the
-	// hash substrate.
+	// An engine under the tiny budget still evaluates identically to one
+	// that hashes every probe.
 	capped, err := NewEngineOpts(inst, EngineOptions{
-		Engine: EngineWorldCache, Samples: samples, Seed: 3,
-		Diffusion: DiffusionLiveEdge, LiveEdgeMemBudget: 3 * rowBytes,
+		Engine: EngineWorldCache, Samples: samples, Seed: 3, LiveEdgeMemBudget: 3 * rowBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hashed, err := NewEngineOpts(inst, EngineOptions{
-		Engine: EngineWorldCache, Samples: samples, Seed: 3, Diffusion: DiffusionHash,
+		Engine: EngineWorldCache, Samples: samples, Seed: 3, LiveEdgeMemBudget: hashBudget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,13 +194,13 @@ func TestLiveEdgeMemCapFallback(t *testing.T) {
 // TestLTLiveEdgeMemCapFallback exercises the LT budget path: a budget
 // holding only a few chosen rows makes later probes recompute the
 // categorical walk per probe, with identical outcomes; evaluations through
-// a capped engine match the hash substrate exactly.
+// a capped engine match one that walks on every probe exactly.
 func TestLTLiveEdgeMemCapFallback(t *testing.T) {
 	inst := liveEdgeInstance(t)
 	const samples = 100
 	rowBytes := int64(samples) * 4
-	tiny := NewLTLiveEdges(inst.G, samples, rng.NewCoin(3), 3*rowBytes, true)
-	ref := NewLTLiveEdges(inst.G, samples, rng.NewCoin(3), 0, false)
+	tiny := NewLTLiveEdges(inst.G, samples, rng.NewCoin(3), 3*rowBytes)
+	ref := NewLTLiveEdges(inst.G, samples, rng.NewCoin(3), hashBudget)
 	for e := 0; e < inst.G.NumEdges(); e++ {
 		for w := uint64(0); w < uint64(samples); w += 7 {
 			if got, want := tiny.Live(w, uint64(e)), ref.Live(w, uint64(e)); got != want {
@@ -211,14 +213,14 @@ func TestLTLiveEdgeMemCapFallback(t *testing.T) {
 	}
 	capped, err := NewEngineOpts(inst, EngineOptions{
 		Engine: EngineWorldCache, Model: ModelLT, Samples: samples, Seed: 3,
-		Diffusion: DiffusionLiveEdge, LiveEdgeMemBudget: 3 * rowBytes,
+		LiveEdgeMemBudget: 3 * rowBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hashed, err := NewEngineOpts(inst, EngineOptions{
 		Engine: EngineWorldCache, Model: ModelLT, Samples: samples, Seed: 3,
-		Diffusion: DiffusionHash,
+		LiveEdgeMemBudget: hashBudget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,10 +264,34 @@ func TestLiveEdgeRowLazy(t *testing.T) {
 	}
 }
 
-// TestEngineOptsUnknownDiffusionRejected covers the option-validation path.
-func TestEngineOptsUnknownDiffusionRejected(t *testing.T) {
-	inst := liveEdgeInstance(t)
-	if _, err := NewEngineOpts(inst, EngineOptions{Samples: 10, Diffusion: "quantum"}); err == nil {
-		t.Fatal("NewEngineOpts accepted an unknown diffusion substrate")
+// TestLiveEdgesAlwaysPresent pins the substrate contract every probe site
+// relies on: for a positive sample count the estimator carries a live-edge
+// substrate under either model — on an edgeless graph and under a budget
+// below one row too — and WithGraph carries it onto an extended graph.
+func TestLiveEdgesAlwaysPresent(t *testing.T) {
+	g, err := graph.FromEdges(4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := unitInstance(g)
+	for _, model := range Models() {
+		for _, budget := range []int64{0, hashBudget} {
+			ev, err := NewEngineOpts(inst, EngineOptions{Model: model, Samples: 70, Seed: 1, LiveEdgeMemBudget: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			est := ev.(*Estimator)
+			if est.Live == nil {
+				t.Fatalf("%s budget=%d: no substrate on an edgeless graph", model, budget)
+			}
+			batch := []graph.Edge{{From: 0, To: 1, P: 0.5}, {From: 1, To: 2, P: 0.5}}
+			g2, err := g.WithEdges(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.WithGraph(unitInstance(g2), ChurnTargets(batch)).Live == nil {
+				t.Fatalf("%s budget=%d: WithGraph dropped the substrate", model, budget)
+			}
+		}
 	}
 }

@@ -29,20 +29,12 @@ type Estimator struct {
 	Samples int // number of possible worlds; must be > 0
 	Coin    rng.Coin
 	Workers int // parallel workers; <= 1 means sequential
-	// Live, when non-nil, is the model-aware liveness substrate: edge
-	// probes read precomputed per-world state instead of hashing. Outcomes
-	// are identical to per-probe hashing by construction (the rows hold
-	// the hash function's own draws, materialized once per world). Set by
-	// NewEngineOpts; nil means the independent-cascade hash probed through
-	// Coin directly — under ModelLT the substrate is always present, since
-	// even hash-per-probe evaluation walks the reverse CSR.
+	// Live is the model-aware liveness substrate every edge probe reads:
+	// materialized per-world rows within its memory budget, the stateless
+	// per-probe hash past it, with identical outcomes either way (the rows
+	// hold the hash function's own draws). Always present for a positive
+	// sample count — NewEstimator, NewEngineOpts and WithGraph build it.
 	Live *LiveEdges
-
-	// EvalMode selects the world-evaluation kernel (see EvalModes): empty or
-	// EvalBitParallel runs the 64-worlds-per-word block kernel whenever Live
-	// is present, EvalScalar forces the one-world-at-a-time sweep. The two
-	// kernels produce bit-identical Results; set by NewEngineOpts.
-	EvalMode string
 
 	// ctx, when non-nil, is checked periodically inside the simulation
 	// loop so a cancelled serving request aborts mid-evaluation instead of
@@ -50,9 +42,6 @@ type Estimator struct {
 	// cancelled evaluation returns garbage aggregates, so callers must
 	// check ctx.Err() before using any value produced after cancellation.
 	ctx context.Context
-
-	poolOnce sync.Once
-	pool     sync.Pool // of *simScratch, reused across evaluations
 
 	blockPoolOnce sync.Once
 	blockPool     sync.Pool // of *blockScratch, reused across evaluations
@@ -76,68 +65,25 @@ func (e *Estimator) cancelled() bool {
 // because edge liveness depends only on (seed, world, edge).
 func (e *Estimator) View(ctx context.Context, workers int) *Estimator {
 	return &Estimator{
-		Inst:     e.Inst,
-		Samples:  e.Samples,
-		Coin:     e.Coin,
-		Workers:  workers,
-		Live:     e.Live,
-		EvalMode: e.EvalMode,
-		ctx:      ctx,
+		Inst:    e.Inst,
+		Samples: e.Samples,
+		Coin:    e.Coin,
+		Workers: workers,
+		Live:    e.Live,
+		ctx:     ctx,
 	}
 }
 
-// NewEstimator returns an estimator over inst with the given sample count
-// and coin seed.
+// NewEstimator returns an independent-cascade estimator over inst with the
+// given sample count and coin seed, probing through a live-edge substrate
+// under the default memory budget. NewEngineOpts builds estimators for the
+// other triggering models and budgets.
 func NewEstimator(inst *Instance, samples int, seed uint64) *Estimator {
-	return &Estimator{Inst: inst, Samples: samples, Coin: rng.NewCoin(seed)}
-}
-
-// simScratch holds per-world propagation state, reused across worlds via
-// epoch stamping so large arrays are never cleared.
-type simScratch struct {
-	epoch int32
-	stamp []int32 // stamp[v] == epoch ⇒ v active in current world
-	seen  []int32 // seen[v] == epoch ⇒ v examined (activated or probed)
-	hop   []int32
-	queue []int32
-}
-
-func newSimScratch(n int) *simScratch {
-	return &simScratch{
-		stamp: make([]int32, n),
-		seen:  make([]int32, n),
-		hop:   make([]int32, n),
-		queue: make([]int32, 0, 256),
+	coin := rng.NewCoin(seed)
+	return &Estimator{
+		Inst: inst, Samples: samples, Coin: coin,
+		Live: NewLiveEdges(inst.G, samples, coin, 0),
 	}
-}
-
-func (s *simScratch) reset() {
-	s.epoch++
-	if s.epoch == 0 { // wrapped; clear stamps once per 2^31 worlds
-		for i := range s.stamp {
-			s.stamp[i] = -1
-			s.seen[i] = -1
-		}
-		s.epoch = 1
-	}
-	s.queue = s.queue[:0]
-}
-
-func (s *simScratch) active(v int32) bool { return s.stamp[v] == s.epoch }
-
-func (s *simScratch) activate(v, hop int32) {
-	s.stamp[v] = s.epoch
-	s.hop[v] = hop
-	s.queue = append(s.queue, v)
-}
-
-// see marks v as examined this world and reports whether it was new.
-func (s *simScratch) see(v int32) bool {
-	if s.seen[v] == s.epoch {
-		return false
-	}
-	s.seen[v] = s.epoch
-	return true
 }
 
 // Result aggregates one deployment's Monte-Carlo outcome.
@@ -149,9 +95,8 @@ type Result struct {
 	Explored     float64 // expected nodes examined per world: activated plus probed inactive out-neighbours
 	// BenefitSqMean is the mean of the squared per-world benefit — the
 	// second raw moment the serving layer turns into a Monte-Carlo
-	// standard-error bar (stats.StdErrFromMoments). Both kernels accumulate
-	// it from the same bit-identical per-world benefit values, so it agrees
-	// across eval modes exactly like Benefit itself.
+	// standard-error bar (stats.StdErrFromMoments), accumulated from the
+	// same per-world benefit values as Benefit itself.
 	BenefitSqMean float64
 
 	// weight is the fraction of the full sample count a partial result
@@ -178,9 +123,7 @@ func (e *Estimator) RedemptionRate(d *Deployment) float64 {
 func (e *Estimator) Evals() int64 { return e.evals.Load() }
 
 // BlockEvals returns the number of 64-world blocks the bit-parallel kernel
-// has swept — 0 whenever evaluation ran scalar (EvalScalar, or no liveness
-// substrate). Instrumentation for the solver's stats and the eval-mode
-// fallback tests.
+// has swept. Instrumentation for the solver's stats.
 func (e *Estimator) BlockEvals() int64 { return e.blocks.Load() }
 
 // Evaluate runs the full simulation and returns all aggregate metrics.
@@ -225,16 +168,6 @@ func (e *Estimator) Evaluate(d *Deployment) Result {
 	return total
 }
 
-func (e *Estimator) getScratch() *simScratch {
-	e.poolOnce.Do(func() {
-		n := e.Inst.G.NumNodes()
-		e.pool.New = func() any { return newSimScratch(n) }
-	})
-	return e.pool.Get().(*simScratch)
-}
-
-func (e *Estimator) putScratch(s *simScratch) { e.pool.Put(s) }
-
 // worldRecord captures one world's final state for the world-cache engine:
 // the activated nodes in activation order and, for each, where its coupon
 // offer scan stopped. scanStop is the adjacency position of the first
@@ -250,127 +183,6 @@ type worldRecord struct {
 	scanStop []int32
 	scanRed  []int32
 	probed   []int32
-}
-
-// simWorld propagates one possible world for deployment d using scratch s,
-// returning the world's benefit, realized SC cost, farthest hop, activated
-// count and examined-node count. When rec is non-nil the world's activation
-// order and scan state are appended to it (the world-cache engine's
-// snapshot). This is the single propagation kernel: every engine evaluates
-// worlds through it, which is what keeps the engines in agreement.
-func (e *Estimator) simWorld(s *simScratch, d *Deployment, world uint64, rec *worldRecord) (worldB, worldC float64, maxHop int32, activated, explored int) {
-	// Rows come through OutRow so the kernel works on every graph lineage:
-	// on plain CSR graphs keys is nil and the row's base offset doubles as
-	// the coin-flip identity (the historical fast path, bit-for-bit); on
-	// overlay or key-remapped graphs the per-edge stable keys identify the
-	// coins instead.
-	g := e.Inst.G
-	le := e.Live // nil ⇒ hash per probe
-	s.reset()
-	for _, seed := range d.Seeds() {
-		if !s.active(seed) {
-			s.activate(seed, 0)
-			if s.see(seed) {
-				explored++
-				if rec != nil {
-					rec.probed = append(rec.probed, seed)
-				}
-			}
-		}
-	}
-	for head := 0; head < len(s.queue); head++ {
-		v := s.queue[head]
-		worldB += e.Inst.Benefit[v]
-		if s.hop[v] > maxHop {
-			maxHop = s.hop[v]
-		}
-		coupons := d.K(v)
-		stop, redeemed := 0, 0
-		if coupons > 0 {
-			targets, probs, keys, kbase := g.OutRow(v)
-			base := uint64(kbase)
-			j := 0
-			for ; j < len(targets); j++ {
-				if redeemed >= coupons {
-					break
-				}
-				t := targets[j]
-				if s.active(t) {
-					continue // already active: no coupon consumed
-				}
-				if s.see(t) {
-					explored++ // probed: a coin was flipped for t
-					if rec != nil {
-						rec.probed = append(rec.probed, t)
-					}
-				}
-				ek := base + uint64(j)
-				if keys != nil {
-					ek = uint64(uint32(keys[j]))
-				}
-				live := false
-				if le != nil {
-					live = le.Live(world, ek)
-				} else {
-					live = e.Coin.Live(world, ek, probs[j])
-				}
-				if live {
-					s.activate(t, s.hop[v]+1)
-					worldC += e.Inst.SCCost[t]
-					redeemed++
-				}
-			}
-			stop = j
-		}
-		if rec != nil {
-			rec.nodes = append(rec.nodes, v)
-			rec.scanStop = append(rec.scanStop, int32(stop))
-			rec.scanRed = append(rec.scanRed, int32(redeemed))
-		}
-	}
-	return worldB, worldC, maxHop, len(s.queue), explored
-}
-
-// run simulates worlds [lo, hi) and returns means over that slice tagged
-// with its weight relative to the full sample count. The bit-parallel and
-// scalar kernels return bit-identical Results, so the dispatch is purely a
-// speed choice.
-func (e *Estimator) run(d *Deployment, lo, hi int) Result {
-	if e.bitParallel() {
-		return e.runBlocks(d, lo, hi)
-	}
-	s := e.getScratch()
-	defer e.putScratch(s)
-	var sumB, sumB2, sumC, sumA, sumH, sumX float64
-	for w := lo; w < hi; w++ {
-		if w&63 == 0 && e.cancelled() {
-			// Abort mid-sweep: the partial sums are meaningless, but the
-			// caller is contractually bound to check ctx.Err() before
-			// trusting anything produced after cancellation.
-			break
-		}
-		worldB, worldC, maxHop, activated, explored := e.simWorld(s, d, uint64(w), nil)
-		sumB += worldB
-		sumB2 += worldB * worldB
-		sumC += worldC
-		sumA += float64(activated)
-		sumH += float64(maxHop)
-		sumX += float64(explored)
-	}
-	count := float64(hi - lo)
-	if count == 0 {
-		return Result{}
-	}
-	r := Result{
-		Benefit:       sumB / count,
-		RealizedCost:  sumC / count,
-		Activated:     sumA / count,
-		FarthestHop:   sumH / count,
-		Explored:      sumX / count,
-		BenefitSqMean: sumB2 / count,
-	}
-	r.weight = count / float64(e.Samples)
-	return r
 }
 
 // String implements fmt.Stringer for debugging.

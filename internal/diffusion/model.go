@@ -8,7 +8,7 @@ import (
 
 // Triggering-model names accepted by EngineOptions.Model and threaded
 // through core.Options, baselines.Config, eval.RunParams and the public
-// s3crm.Options.
+// s3crm.WithModel.
 //
 // Both models are served through the shared live-edge view (Kempe, Kleinberg
 // and Tardos' triggering-model equivalence): a possible world is a fixed
@@ -39,7 +39,7 @@ const (
 func Models() []string { return []string{ModelIC, ModelLT} }
 
 // normalizeModel maps the empty name to the default and rejects unknowns
-// with the same "want one of" shape as the engine and diffusion validators.
+// with the same "want one of" shape as the engine validator.
 func normalizeModel(name string) (string, error) {
 	switch name {
 	case "":

@@ -27,7 +27,11 @@ func diamondLTInstance(t testing.TB) *Instance {
 
 func ltEstimator(inst *Instance, samples int, seed uint64, materialize bool) *Estimator {
 	est := NewEstimator(inst, samples, seed)
-	est.Live = NewLTLiveEdges(inst.G, samples, est.Coin, 0, materialize)
+	budget := int64(0)
+	if !materialize {
+		budget = hashBudget
+	}
+	est.Live = NewLTLiveEdges(inst.G, samples, est.Coin, budget)
 	return est
 }
 
@@ -246,8 +250,8 @@ func TestLTSingleLiveInEdgePerWorld(t *testing.T) {
 	inst := liveEdgeInstance(t)
 	g := inst.G
 	const samples = 2000
-	mat := NewLTLiveEdges(g, samples, rng.NewCoin(13), 0, true)
-	hash := NewLTLiveEdges(g, samples, rng.NewCoin(13), 0, false)
+	mat := NewLTLiveEdges(g, samples, rng.NewCoin(13), 0)
+	hash := NewLTLiveEdges(g, samples, rng.NewCoin(13), hashBudget)
 	probs := g.Probs()
 	for v := int32(0); int(v) < g.NumNodes(); v++ {
 		_, eidx := g.InEdges(v)

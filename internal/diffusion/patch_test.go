@@ -14,35 +14,27 @@ import (
 // appended batches — exactly the keys WithEdges hands out).
 
 // churnCase is one cell of the churn-parity matrix: triggering model ×
-// liveness substrate × live-edge memory budget (1 byte forces every row to
-// the hash fallback — the mem-capped path must patch identically).
+// live-edge memory budget, named by substrate regime — "liveedge" (the
+// default budget), "hash" (below one row: every probe hashes) and
+// "liveedge-memcap" (a few rows, so materialized rows and hashed probes
+// mix; the capped path must patch identically).
 type churnCase struct {
-	model, diff string
-	memBudget   int64
+	model, sub string
+	memBudget  int64
 }
 
 func churnMatrix() []churnCase {
 	var out []churnCase
 	for _, model := range []string{ModelIC, ModelLT} {
-		for _, diff := range []string{DiffusionLiveEdge, DiffusionHash} {
-			for _, budget := range []int64{0, 1} {
-				if diff == DiffusionHash && budget == 1 {
-					continue // hash substrate has no materialized rows to cap
-				}
-				out = append(out, churnCase{model, diff, budget})
-			}
-		}
+		out = append(out,
+			churnCase{model, "hash", hashBudget},
+			churnCase{model, "liveedge", 0},
+			churnCase{model, "liveedge-memcap", 512})
 	}
 	return out
 }
 
-func (c churnCase) name() string {
-	n := c.model + "-" + c.diff
-	if c.memBudget > 0 {
-		n += "-memcap"
-	}
-	return n
-}
+func (c churnCase) name() string { return c.model + "-" + c.sub }
 
 // arcKey packs an arc for duplicate avoidance.
 func arcKey(from, to int32) int64 { return int64(from)<<32 | int64(uint32(to)) }
@@ -169,7 +161,7 @@ func TestEstimatorChurnParity(t *testing.T) {
 				base, steps := churnLineage(t, r, 3)
 				opts := EngineOptions{
 					Engine: EngineMC, Model: tc.model, Samples: 96, Seed: 11,
-					Diffusion: tc.diff, LiveEdgeMemBudget: tc.memBudget,
+					LiveEdgeMemBudget: tc.memBudget,
 				}
 				ev, err := NewEngineOpts(unitInstance(base), opts)
 				if err != nil {
@@ -210,8 +202,8 @@ func TestEstimatorChurnParity(t *testing.T) {
 // evaluations — the invariant the public churn-parity contract rests on.
 func TestEstimatorChurnBatchSplitEquivalence(t *testing.T) {
 	for _, tc := range []churnCase{
-		{ModelIC, DiffusionLiveEdge, 0},
-		{ModelLT, DiffusionLiveEdge, 0},
+		{ModelIC, "liveedge", 0},
+		{ModelLT, "liveedge", 0},
 	} {
 		t.Run(tc.name(), func(t *testing.T) {
 			r := rand.New(rand.NewSource(4242))
@@ -219,7 +211,6 @@ func TestEstimatorChurnBatchSplitEquivalence(t *testing.T) {
 			joined := append(append([]graph.Edge(nil), steps[0]...), steps[1]...)
 			opts := EngineOptions{
 				Engine: EngineMC, Model: tc.model, Samples: 64, Seed: 3,
-				Diffusion: tc.diff,
 			}
 			build := func(batches ...[]graph.Edge) *Estimator {
 				ev, err := NewEngineOpts(unitInstance(base), opts)
@@ -265,7 +256,7 @@ func TestWorldCachePatchParity(t *testing.T) {
 				base, steps := churnLineage(t, r, 3)
 				opts := EngineOptions{
 					Engine: EngineMC, Model: tc.model, Samples: 96, Seed: 5,
-					Diffusion: tc.diff, LiveEdgeMemBudget: tc.memBudget,
+					LiveEdgeMemBudget: tc.memBudget,
 				}
 				ev, err := NewEngineOpts(unitInstance(base), opts)
 				if err != nil {
@@ -290,9 +281,7 @@ func TestWorldCachePatchParity(t *testing.T) {
 					got := wc.PatchEdges(est, batch)
 					cold, _ := coldEstimator(t, base, steps, bi+1, opts)
 					d.Pad(g.NumNodes())
-					// Compare Rebase-to-Rebase: cached results don't carry
-					// BenefitSqMean (the serving layer re-measures via
-					// Evaluate), so the cold comparator is a cold cache.
+					// The patched result must equal a cold cache's Rebase.
 					stepWC := &WorldCache{Est: cold}
 					if want := stepWC.Rebase(d); got != want {
 						t.Fatalf("trial %d batch %d: patched %+v != cold %+v", trial, bi, got, want)
@@ -330,7 +319,7 @@ func TestWorldCachePatchParity(t *testing.T) {
 func TestWorldCachePatchNeverRebased(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	base, steps := churnLineage(t, r, 1)
-	opts := EngineOptions{Engine: EngineMC, Model: ModelIC, Samples: 64, Seed: 2, Diffusion: DiffusionLiveEdge}
+	opts := EngineOptions{Engine: EngineMC, Model: ModelIC, Samples: 64, Seed: 2}
 	ev, err := NewEngineOpts(unitInstance(base), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -177,7 +177,7 @@ func (wc *WorldCache) rebaseFull(d *Deployment) Result {
 	workers := e.Workers
 	if workers <= 1 || e.Samples < 4*workers {
 		wc.rebaseRange(d, 0, e.Samples)
-	} else if e.bitParallel() {
+	} else {
 		// Block-aligned worker ranges: a 64-world block split between two
 		// workers would be simulated twice with partial masks. Alignment
 		// cannot drift results — snapshots are per-world and refreshSums
@@ -200,25 +200,6 @@ func (wc *WorldCache) rebaseFull(d *Deployment) Result {
 			if hi > e.Samples {
 				hi = e.Samples
 			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				wc.rebaseRange(d, lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		var wg sync.WaitGroup
-		per := e.Samples / workers
-		extra := e.Samples % workers
-		start := 0
-		for i := 0; i < workers; i++ {
-			count := per
-			if i < extra {
-				count++
-			}
-			lo, hi := start, start+count
-			start = hi
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
@@ -273,7 +254,7 @@ func (wc *WorldCache) sizeMaterialized() {
 
 // materializeDense rebuilds the node-major bit rows and dense scan state
 // from every world's snapshot after a full rebase. (The world-major act
-// bitsets are maintained inside resimWorld, whose writes are world-owned;
+// bitsets are maintained inside resimBlock, whose writes are world-owned;
 // the node-major rows pack neighbouring worlds into shared words, so they
 // are rebuilt here, outside the parallel section.)
 func (wc *WorldCache) materializeDense() {
@@ -293,55 +274,21 @@ func (wc *WorldCache) materializeDense() {
 	}
 }
 
-// rebaseRange re-simulates worlds [lo, hi) into their snapshots. Each
+// rebaseRange re-simulates worlds [lo, hi) into their snapshots one
+// 64-aligned block at a time (partial masks at the ragged ends). Each
 // world's record reuses its previous capacity, and workers touch disjoint
 // world ranges, so the parallel rebase produces bit-identical snapshots to
 // the sequential one.
 func (wc *WorldCache) rebaseRange(d *Deployment, lo, hi int) {
 	e := wc.Est
-	if e.bitParallel() {
-		wc.rebaseBlocks(d, lo, hi)
-		return
-	}
-	s := e.getScratch()
-	defer e.putScratch(s)
-	hint := 16
-	for w := lo; w < hi; w++ {
-		if w&63 == 0 && e.cancelled() {
-			// Abort the sweep. The cache is now inconsistent (some worlds
-			// stale); the caller must discard this WorldCache after seeing
-			// the cancellation — the Campaign layer never pools a cache
-			// whose call returned an error.
-			return
-		}
-		ws := &wc.worlds[w]
-		if cap(ws.rec.nodes) == 0 {
-			// Fresh cache: pre-size this world's record near its
-			// neighbour's final size, avoiding the doubling-growth
-			// allocations a cold rebase would otherwise pay per world.
-			ws.rec.nodes = make([]int32, 0, hint)
-			ws.rec.scanStop = make([]int32, 0, hint)
-			ws.rec.scanRed = make([]int32, 0, hint)
-			ws.rec.probed = make([]int32, 0, hint+hint/2)
-		}
-		wc.resimWorld(s, d, w, false)
-		hint = len(ws.rec.nodes) + 8
-	}
-}
-
-// rebaseBlocks is rebaseRange's block-kernel form: worlds [lo, hi) are
-// re-simulated one 64-aligned block at a time (partial masks at the ragged
-// ends). Snapshots are bit-identical to the scalar sweep's — simBlock
-// reproduces every world's scalar activation order — so the rebase stays
-// deterministic whatever the worker split.
-func (wc *WorldCache) rebaseBlocks(d *Deployment, lo, hi int) {
-	e := wc.Est
 	bs := e.getBlockScratch()
 	defer e.putBlockScratch(bs)
 	for base := lo &^ 63; base < hi; base += 64 {
 		if e.cancelled() {
-			// Abort the sweep; as in the scalar path, the caller discards a
-			// cancelled cache.
+			// Abort the sweep. The cache is now inconsistent (some worlds
+			// stale); the caller must discard this WorldCache after seeing
+			// the cancellation — the Campaign layer never pools a cache
+			// whose call returned an error.
 			return
 		}
 		blo, bhi := 0, 64
@@ -356,9 +303,10 @@ func (wc *WorldCache) rebaseBlocks(d *Deployment, lo, hi int) {
 }
 
 // resimBlock re-simulates the masked worlds of the 64-aligned block at base
-// into their snapshot slots — resimWorld's block counterpart, sharing one
-// BFS pass across the block. With mat (sequential callers only) it also
-// reconciles the dense tier for those worlds.
+// into their snapshot slots, sharing one BFS pass across the block, and
+// refreshes their world-major activation and seen bitsets. With mat
+// (sequential callers only — the node-major rows pack neighbouring worlds
+// into shared words) it also reconciles the dense tier for those worlds.
 func (wc *WorldCache) resimBlock(bs *blockScratch, d *Deployment, base int, mask uint64, mat bool) {
 	e := wc.Est
 	e.blocks.Add(1)
@@ -413,96 +361,31 @@ func (wc *WorldCache) resimBlock(bs *blockScratch, d *Deployment, base int, mask
 	}
 }
 
-// resimWorlds re-simulates a scattered ascending set of worlds, routing
-// runs that share a 64-world block through the block kernel and lone
-// worlds through the scalar kernel (a one-bit mask pays the block
-// bookkeeping for no parallelism). Snapshots are identical either way.
-func (wc *WorldCache) resimWorlds(d *Deployment, worlds []int32, mat bool) {
-	e := wc.Est
-	if !e.bitParallel() {
-		s := e.getScratch()
-		defer e.putScratch(s)
-		for _, w := range worlds {
-			wc.resimWorld(s, d, int(w), mat)
-		}
+// resimulate re-simulates a scattered ascending set of worlds, one block
+// kernel pass per run of worlds sharing a 64-world block (a lone world is a
+// one-bit mask).
+func (wc *WorldCache) resimulate(d *Deployment, worlds []int32, mat bool) {
+	if len(worlds) == 0 {
 		return
 	}
-	var (
-		s  *simScratch
-		bs *blockScratch
-	)
-	defer func() {
-		if s != nil {
-			e.putScratch(s)
-		}
-		if bs != nil {
-			e.putBlockScratch(bs)
-		}
-	}()
-	for i := 0; i < len(worlds); {
-		base := int(worlds[i]) &^ 63
-		j := i
-		var mask uint64
-		for ; j < len(worlds) && int(worlds[j]) < base+64; j++ {
-			mask |= 1 << (uint(worlds[j]) & 63)
-		}
-		if j == i+1 {
-			if s == nil {
-				s = e.getScratch()
-			}
-			wc.resimWorld(s, d, int(worlds[i]), mat)
-		} else {
-			if bs == nil {
-				bs = e.getBlockScratch()
-			}
-			wc.resimBlock(bs, d, base, mask, mat)
-		}
-		i = j
-	}
+	bs := wc.Est.getBlockScratch()
+	defer wc.Est.putBlockScratch(bs)
+	forEachBlock(worlds, func(base int, mask uint64) {
+		wc.resimBlock(bs, d, base, mask, mat)
+	})
 }
 
-// resimWorld re-simulates one world into its snapshot slot, refreshing its
-// world-major activation bitset. With mat (sequential callers only — the
-// node-major rows pack neighbouring worlds into shared words) it also
-// reconciles the dense tier for this world.
-func (wc *WorldCache) resimWorld(s *simScratch, d *Deployment, w int, mat bool) {
-	ws := &wc.worlds[w]
-	mat = mat && wc.dense
-	if mat {
-		for _, v := range ws.rec.nodes {
-			wc.actT[int(v)*wc.actTWords+(w>>6)] &^= 1 << (uint(w) & 63)
+// forEachBlock groups an ascending world list into its 64-aligned blocks,
+// calling fn once per block with the block's base world and the mask of
+// listed worlds inside it.
+func forEachBlock(worlds []int32, fn func(base int, mask uint64)) {
+	for i := 0; i < len(worlds); {
+		base := int(worlds[i]) &^ 63
+		var mask uint64
+		for ; i < len(worlds) && int(worlds[i]) < base+64; i++ {
+			mask |= 1 << (uint(worlds[i]) & 63)
 		}
-	}
-	ws.rec.nodes = ws.rec.nodes[:0]
-	ws.rec.scanStop = ws.rec.scanStop[:0]
-	ws.rec.scanRed = ws.rec.scanRed[:0]
-	ws.rec.probed = ws.rec.probed[:0]
-	b, c, hop, activated, explored := wc.Est.simWorld(s, d, uint64(w), &ws.rec)
-	ws.benefit = b
-	ws.cost = c
-	ws.hop = hop
-	ws.activated = int32(activated)
-	ws.explored = int32(explored)
-	if wc.act != nil {
-		bits := wc.act[w*wc.actWords : (w+1)*wc.actWords]
-		clear(bits)
-		for _, v := range ws.rec.nodes {
-			bits[v>>6] |= 1 << (uint(v) & 63)
-		}
-		sbits := wc.seen[w*wc.actWords : (w+1)*wc.actWords]
-		clear(sbits)
-		for _, v := range ws.rec.probed {
-			sbits[v>>6] |= 1 << (uint(v) & 63)
-		}
-	}
-	if mat {
-		samples := wc.Est.Samples
-		for i, v := range ws.rec.nodes {
-			wc.actT[int(v)*wc.actTWords+(w>>6)] |= 1 << (uint(w) & 63)
-			idx := int(v)*samples + w
-			wc.denseStop[idx] = ws.rec.scanStop[i]
-			wc.denseRed[idx] = ws.rec.scanRed[i]
-		}
+		fn(base, mask)
 	}
 }
 
@@ -512,10 +395,11 @@ func (wc *WorldCache) resimWorld(s *simScratch, d *Deployment, w int, mat bool) 
 // values were produced (full rebase, parallel rebase or incremental
 // advance).
 func (wc *WorldCache) refreshSums() {
-	var b, c, a, h, x float64
+	var b, b2, c, a, h, x float64
 	for w := range wc.worlds {
 		ws := &wc.worlds[w]
 		b += ws.benefit
+		b2 += ws.benefit * ws.benefit
 		c += ws.cost
 		a += float64(ws.activated)
 		h += float64(ws.hop)
@@ -524,12 +408,13 @@ func (wc *WorldCache) refreshSums() {
 	count := float64(wc.Est.Samples)
 	wc.baseSumB = b
 	wc.baseResult = Result{
-		Benefit:      b / count,
-		RealizedCost: c / count,
-		Activated:    a / count,
-		FarthestHop:  h / count,
-		Explored:     x / count,
-		weight:       1,
+		Benefit:       b / count,
+		RealizedCost:  c / count,
+		Activated:     a / count,
+		FarthestHop:   h / count,
+		Explored:      x / count,
+		BenefitSqMean: b2 / count,
+		weight:        1,
 	}
 }
 
@@ -610,12 +495,11 @@ func (wc *WorldCache) advanceSeed(d *Deployment, s int32) Result {
 	e.evals.Add(1)
 	g := e.Inst.G
 	in := e.Inst
-	targets, probs, keys, kbase := g.OutRow(s)
+	targets, _, keys, kbase := g.OutRow(s)
 	k := d.K(s)
 	m := d.NumSeeds()
 	eBase := uint64(kbase)
 	le := e.Live
-	coin := e.Coin
 	stop := int32(0)
 	if k > 0 {
 		stop = int32(len(targets))
@@ -635,13 +519,7 @@ func (wc *WorldCache) advanceSeed(d *Deployment, s int32) Result {
 				if keys != nil {
 					ek = uint64(uint32(keys[j]))
 				}
-				live := false
-				if le != nil {
-					live = le.Live(uint64(w), ek)
-				} else {
-					live = coin.Live(uint64(w), ek, probs[j])
-				}
-				if live || (!d.IsSeed(t) && abits[t>>6]&(1<<(uint(t)&63)) != 0) {
+				if le.Live(uint64(w), ek) || (!d.IsSeed(t) && abits[t>>6]&(1<<(uint(t)&63)) != 0) {
 					patchable = false
 					break
 				}
@@ -698,7 +576,7 @@ func (wc *WorldCache) advanceSeed(d *Deployment, s int32) Result {
 		wc.denseStop[di] = stop
 		wc.denseRed[di] = 0
 	}
-	wc.resimWorlds(d, resim, true)
+	wc.resimulate(d, resim, true)
 	wc.base = d.Clone()
 	wc.invBuilt = false
 	wc.refreshSums()
@@ -779,7 +657,7 @@ func (wc *WorldCache) advance(d *Deployment, changed []int32) Result {
 			}
 		}
 	}
-	wc.resimWorlds(d, resim, true)
+	wc.resimulate(d, resim, true)
 	wc.base = d.Clone()
 	wc.invBuilt = false
 	wc.refreshSums()
@@ -801,10 +679,9 @@ func (wc *WorldCache) patchScanTail(v int32, w int) bool {
 		return false
 	}
 	g := wc.Est.Inst.G
-	targets, probs, keys, kbase := g.OutRow(v)
+	targets, _, keys, kbase := g.OutRow(v)
 	idx := int(v)*wc.Est.Samples + w
 	stop := int(wc.denseStop[idx])
-	coin := wc.Est.Coin
 	le := wc.Est.Live
 	base := uint64(kbase)
 	for j := stop; j < len(targets); j++ {
@@ -812,13 +689,7 @@ func (wc *WorldCache) patchScanTail(v int32, w int) bool {
 		if keys != nil {
 			ek = uint64(uint32(keys[j]))
 		}
-		live := false
-		if le != nil {
-			live = le.Live(uint64(w), ek)
-		} else {
-			live = coin.Live(uint64(w), ek, probs[j])
-		}
-		if live {
+		if le.Live(uint64(w), ek) {
 			return false // the resumed scan could redeem here: re-simulate
 		}
 	}
@@ -1151,19 +1022,12 @@ func (wc *WorldCache) deltaByCandidate(cands []int32, out []float64) []float64 {
 func (wc *WorldCache) replayAddCouponBits(sc *deltaScratch, world uint64, v int32, stop int) float64 {
 	in := wc.Est.Inst
 	g := in.G
-	coin := wc.Est.Coin
 	le := wc.Est.Live
 	act := wc.act[int(world)*wc.actWords : (int(world)+1)*wc.actWords]
-	live := func(edge uint64, p float64) bool {
-		if le != nil {
-			return le.Live(world, edge)
-		}
-		return coin.Live(world, edge, p)
-	}
 	activeBase := func(t int32) bool { return act[t>>6]&(1<<(uint(t)&63)) != 0 }
 	sc.nextReplay()
 	delta := 0.0
-	targets, probs, keys, kbase := g.OutRow(v)
+	targets, _, keys, kbase := g.OutRow(v)
 	base := uint64(kbase)
 	for j := stop; j < len(targets); j++ {
 		t := targets[j]
@@ -1174,7 +1038,7 @@ func (wc *WorldCache) replayAddCouponBits(sc *deltaScratch, world uint64, v int3
 		if keys != nil {
 			ek = uint64(uint32(keys[j]))
 		}
-		if live(ek, probs[j]) {
+		if le.Live(world, ek) {
 			sc.dStamp[t] = sc.dEpoch
 			sc.queue = append(sc.queue, t)
 			break // the single extra coupon is spent
@@ -1187,7 +1051,7 @@ func (wc *WorldCache) replayAddCouponBits(sc *deltaScratch, world uint64, v int3
 		if coupons == 0 {
 			continue
 		}
-		ts, ps, uk, ukb := g.OutRow(u)
+		ts, _, uk, ukb := g.OutRow(u)
 		ub := uint64(ukb)
 		redeemed := 0
 		for j, t := range ts {
@@ -1201,7 +1065,7 @@ func (wc *WorldCache) replayAddCouponBits(sc *deltaScratch, world uint64, v int3
 			if uk != nil {
 				ek = uint64(uint32(uk[j]))
 			}
-			if live(ek, ps[j]) {
+			if le.Live(world, ek) {
 				sc.dStamp[t] = sc.dEpoch
 				sc.queue = append(sc.queue, t)
 				redeemed++
@@ -1245,17 +1109,10 @@ func (wc *WorldCache) replayAddCoupon(sc *deltaScratch, world uint64, v int32) f
 	}
 	in := wc.Est.Inst
 	g := in.G
-	coin := wc.Est.Coin
 	le := wc.Est.Live
-	live := func(edge uint64, p float64) bool {
-		if le != nil {
-			return le.Live(world, edge)
-		}
-		return coin.Live(world, edge, p)
-	}
 	sc.nextReplay()
 	delta := 0.0
-	targets, probs, keys, kbase := g.OutRow(v)
+	targets, _, keys, kbase := g.OutRow(v)
 	base := uint64(kbase)
 	for j := int(sc.stop[v]); j < len(targets); j++ {
 		t := targets[j]
@@ -1266,7 +1123,7 @@ func (wc *WorldCache) replayAddCoupon(sc *deltaScratch, world uint64, v int32) f
 		if keys != nil {
 			ek = uint64(uint32(keys[j]))
 		}
-		if live(ek, probs[j]) {
+		if le.Live(world, ek) {
 			sc.dStamp[t] = sc.dEpoch
 			sc.queue = append(sc.queue, t)
 			break // the single extra coupon is spent
@@ -1279,7 +1136,7 @@ func (wc *WorldCache) replayAddCoupon(sc *deltaScratch, world uint64, v int32) f
 		if coupons == 0 {
 			continue
 		}
-		ts, ps, uk, ukb := g.OutRow(u)
+		ts, _, uk, ukb := g.OutRow(u)
 		ub := uint64(ukb)
 		redeemed := 0
 		for j, t := range ts {
@@ -1293,7 +1150,7 @@ func (wc *WorldCache) replayAddCoupon(sc *deltaScratch, world uint64, v int32) f
 			if uk != nil {
 				ek = uint64(uint32(uk[j]))
 			}
-			if live(ek, ps[j]) {
+			if le.Live(world, ek) {
 				sc.dStamp[t] = sc.dEpoch
 				sc.queue = append(sc.queue, t)
 				redeemed++
@@ -1347,50 +1204,20 @@ func (wc *WorldCache) EvaluateDelta(d *Deployment, changed []int32) float64 {
 			}
 		}
 	}
-	// Both kernels produce identical per-world benefits, and the deltas fold
-	// into the sum in ascending world order either way, so the block grouping
-	// below is bit-identical to the scalar sweep.
+	// The deltas fold into the sum in ascending world order, so the block
+	// grouping is bit-identical to a one-world-at-a-time sweep.
 	sum := wc.baseSumB
-	if e.bitParallel() {
+	if len(worlds) > 0 {
 		bs := e.getBlockScratch()
 		defer e.putBlockScratch(bs)
-		var s *simScratch
-		defer func() {
-			if s != nil {
-				e.putScratch(s)
+		forEachBlock(worlds, func(base int, mask uint64) {
+			e.simBlock(bs, d, uint64(base), mask, nil)
+			e.blocks.Add(1)
+			for m := mask; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros64(m)
+				sum += bs.worldB[b] - wc.worlds[base+b].benefit
 			}
-		}()
-		for i := 0; i < len(worlds); {
-			base := int(worlds[i]) &^ 63
-			j := i
-			var mask uint64
-			for ; j < len(worlds) && int(worlds[j]) < base+64; j++ {
-				mask |= 1 << (uint(worlds[j]) & 63)
-			}
-			if j == i+1 {
-				w := worlds[i]
-				if s == nil {
-					s = e.getScratch()
-				}
-				b, _, _, _, _ := e.simWorld(s, d, uint64(w), nil)
-				sum += b - wc.worlds[w].benefit
-			} else {
-				e.simBlock(bs, d, uint64(base), mask, nil)
-				e.blocks.Add(1)
-				for m := mask; m != 0; m &= m - 1 {
-					b := bits.TrailingZeros64(m)
-					sum += bs.worldB[b] - wc.worlds[base+b].benefit
-				}
-			}
-			i = j
-		}
-		return sum / float64(e.Samples)
-	}
-	s := e.getScratch()
-	defer e.putScratch(s)
-	for _, w := range worlds {
-		b, _, _, _, _ := e.simWorld(s, d, uint64(w), nil)
-		sum += b - wc.worlds[w].benefit
+		})
 	}
 	return sum / float64(e.Samples)
 }

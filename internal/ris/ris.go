@@ -4,11 +4,11 @@
 // to speed up influence estimation for seed ranking.
 //
 // A reverse-reachable (RR) set is drawn by picking a uniform random root
-// and walking the transpose graph under the model's live-edge view: the
-// independent-cascade walk (Generate) crosses each in-edge with its
-// influence probability, while the linear-threshold walk (GenerateLT)
-// samples at most one in-edge per step, with probability equal to its
-// weight. A node's expected influence is proportional to the fraction of
+// and walking the transpose graph under the model's live-edge view, read
+// through a LiveFunc: the independent-cascade walk (GenerateLive) crosses
+// each in-edge that is live in the set's world, while the linear-threshold
+// walk (GenerateLiveLT) follows at most one in-edge per step — the one the
+// node selected, with probability equal to its weight. A node's expected influence is proportional to the fraction of
 // RR sets containing it, and the classic greedy max-cover over RR sets
 // yields near-optimal seed rankings orders of magnitude faster than forward
 // Monte-Carlo ranking.
@@ -34,13 +34,12 @@ type Sketches struct {
 	covers map[int32][]int32 // node → indices of RR sets containing it
 }
 
-// drawSets is the scaffolding every RR-set generator shares: count sets,
-// each grown breadth-first from a uniform random root, with per-set
+// drawSets is the scaffolding of the RR-set generators: count sets, each
+// grown breadth-first from a uniform random root, with per-set
 // deduplication via generation-stamped visited marks and the cover index
-// built as sets complete. How the transpose walk crosses in-edges is the
-// only thing the models differ in, so that one decision is delegated to
-// step, called once per dequeued node with the set ordinal, visited lookup
-// and enqueue callbacks.
+// built as sets complete. How the transpose walk crosses in-edges is
+// delegated to step, called once per dequeued node with the set ordinal,
+// visited lookup and enqueue callbacks.
 func drawSets(g *graph.Graph, count int, src *rng.Source, step func(set int32, v int32, visited func(int32) bool, enqueue func(int32))) (*Sketches, error) {
 	if count <= 0 {
 		return nil, fmt.Errorf("ris: need a positive sketch count, got %d", count)
@@ -81,61 +80,6 @@ func drawSets(g *graph.Graph, count int, src *rng.Source, step func(set int32, v
 	return s, nil
 }
 
-// Generate draws count RR sets over g under the independent-cascade model.
-// It panics on a nil graph and returns an error for non-positive counts or
-// empty graphs.
-func Generate(g *graph.Graph, count int, src *rng.Source) (*Sketches, error) {
-	// The transpose walk reads the graph's shared reverse CSR: per node, the
-	// in-neighbours sorted by descending probability (the same order a
-	// materialized transpose graph would store, so the sequential random
-	// stream is consumed identically), with each slot carrying the forward
-	// edge index that addresses its probability. Visited in-neighbours are
-	// skipped before the draw, so the stream matches the historical
-	// generator exactly.
-	probs := g.KeyProbs()
-	return drawSets(g, count, src, func(_ int32, v int32, visited func(int32) bool, enqueue func(int32)) {
-		srcs, eidx := g.InEdges(v)
-		for j, t := range srcs {
-			if visited(t) {
-				continue
-			}
-			if src.Float64() < probs[eidx[j]] {
-				enqueue(t)
-			}
-		}
-	})
-}
-
-// GenerateLT draws count RR sets over g under the linear-threshold model's
-// live-edge equivalence: every dequeued node selects at most one live
-// in-edge — edge (u, v) with probability equal to its weight, none with the
-// remaining mass — so each step of the transpose walk crosses a single
-// sampled in-edge instead of flipping a coin per in-edge, and an RR set is
-// the chain of selections ending at a node that selects nothing (or closes
-// a cycle). One uniform is drawn per dequeued node with in-edges, walked
-// down the reverse CSR's sorted in-row exactly as the forward engines'
-// substrate does.
-func GenerateLT(g *graph.Graph, count int, src *rng.Source) (*Sketches, error) {
-	probs := g.KeyProbs()
-	return drawSets(g, count, src, func(_ int32, v int32, visited func(int32) bool, enqueue func(int32)) {
-		srcs, eidx := g.InEdges(v)
-		if len(eidx) == 0 {
-			return
-		}
-		u := src.Float64()
-		cum := 0.0
-		for j, e := range eidx {
-			cum += probs[e]
-			if u < cum {
-				if t := srcs[j]; !visited(t) {
-					enqueue(t)
-				}
-				break
-			}
-		}
-	})
-}
-
 // LiveFunc reports whether the forward edge with the given stable coin key
 // (graph.InEdges' edge-key slot) and probability p is live in the given
 // world. It is the seam through which RR-set drawing shares the diffusion
@@ -143,9 +87,9 @@ func GenerateLT(g *graph.Graph, count int, src *rng.Source) (*Sketches, error) {
 // materialized bit, a plain coin hashes — outcomes are identical.
 type LiveFunc func(world uint64, edge uint64, p float64) bool
 
-// GenerateLive draws count RR sets over g like Generate, but decides edge
-// liveness through live — one possible world per RR set, indexed by the
-// set's ordinal — instead of a sequential random stream. Walking the
+// GenerateLive draws count RR sets over g under the independent-cascade
+// model, deciding edge liveness through live — one possible world per RR
+// set, indexed by the set's ordinal. Walking the
 // transpose crosses in-edge (u → v) exactly when the forward edge is live
 // in the set's world, so RR sets drawn this way are consistent with the
 // forward Monte-Carlo worlds under common random numbers. Roots still come
@@ -254,9 +198,8 @@ func (w *Walker) Draw(dst []int32, root int32, world uint64, live LiveFunc, sing
 }
 
 // DrawLT appends to dst the RR set rooted at root under the linear-threshold
-// model with an explicit per-node uniform — the categorical in-row walk of
-// GenerateLT, with the sequential random stream replaced by unif(world, v)
-// so draws are stateless and order-independent. Each dequeued node selects
+// model with an explicit per-node uniform unif(world, v) walked down the
+// reverse CSR's sorted in-row, so draws are stateless and order-independent. Each dequeued node selects
 // at most one in-edge: the one whose cumulative-probability interval
 // contains the uniform, none when the uniform lands in the remaining mass.
 func (w *Walker) DrawLT(dst []int32, root int32, world uint64, unif func(world uint64, node int32) float64) []int32 {

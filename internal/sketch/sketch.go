@@ -71,8 +71,8 @@ type Config struct {
 	// Model is the triggering model RR sets are drawn under:
 	// diffusion.ModelIC (default) or diffusion.ModelLT. Draws are keyed by
 	// sample index off dedicated streams — deliberately independent of the
-	// forward engines' diffusion substrate, so the selected deployment is
-	// identical whichever substrate later measures it.
+	// forward engines' live-edge substrate, so the selected deployment is
+	// identical whatever memory budget later measures it.
 	Model string
 	// Pivots is phase 1's queue, descending standalone rate.
 	Pivots []Pivot

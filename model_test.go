@@ -25,10 +25,10 @@ func TestModelLTEndToEnd(t *testing.T) {
 			rates := map[string]float64{}
 			var mcRate float64
 			for _, engine := range Engines() {
-				var perDiffusion []float64
-				for _, diff := range Diffusions() {
+				var perBudget []float64
+				for _, budget := range []int64{0, 1} {
 					c, err := p.NewCampaign(
-						WithModel("lt"), WithEngine(engine), WithDiffusion(diff),
+						WithModel("lt"), WithEngine(engine), WithLiveEdgeMemBudget(budget),
 						WithSamples(300), WithSeed(7))
 					if err != nil {
 						t.Fatal(err)
@@ -40,20 +40,20 @@ func TestModelLTEndToEnd(t *testing.T) {
 						r, err = c.RunBaseline(ctx, algo, WithSeed(7))
 					}
 					if err != nil {
-						t.Fatalf("%s under %s/%s: %v", algo, engine, diff, err)
+						t.Fatalf("%s under %s (budget %d): %v", algo, engine, budget, err)
 					}
 					if r.RedemptionRate <= 0 {
-						t.Fatalf("%s under %s/%s: non-positive redemption rate", algo, engine, diff)
+						t.Fatalf("%s under %s (budget %d): non-positive redemption rate", algo, engine, budget)
 					}
-					perDiffusion = append(perDiffusion, r.RedemptionRate)
+					perBudget = append(perBudget, r.RedemptionRate)
 				}
-				if perDiffusion[0] != perDiffusion[1] {
-					t.Errorf("%s under %s: liveedge rate %v != hash rate %v",
-						algo, engine, perDiffusion[0], perDiffusion[1])
+				if perBudget[0] != perBudget[1] {
+					t.Errorf("%s under %s: materialized rate %v != hashed rate %v",
+						algo, engine, perBudget[0], perBudget[1])
 				}
-				rates[engine] = perDiffusion[0]
+				rates[engine] = perBudget[0]
 				if engine == "mc" {
-					mcRate = perDiffusion[0]
+					mcRate = perBudget[0]
 				}
 			}
 			for engine, rate := range rates {
@@ -116,13 +116,13 @@ func TestModelLTPinnedReplayDeterminism(t *testing.T) {
 	if first.RedemptionRate != again.RedemptionRate || first.Benefit != again.Benefit {
 		t.Fatalf("warm LT replay drifted: %v vs %v", first, again)
 	}
-	oneShot, err := Solve(p, Options{Model: "lt", Engine: "worldcache", Samples: 200, Seed: 11})
+	fresh, err := solveFresh(p, 11, WithModel("lt"), WithEngine("worldcache"), WithSamples(200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oneShot.RedemptionRate != first.RedemptionRate {
-		t.Fatalf("one-shot LT solve %v differs from pinned campaign call %v",
-			oneShot.RedemptionRate, first.RedemptionRate)
+	if fresh.RedemptionRate != first.RedemptionRate {
+		t.Fatalf("fresh-campaign LT solve %v differs from pinned campaign call %v",
+			fresh.RedemptionRate, first.RedemptionRate)
 	}
 }
 

@@ -21,15 +21,15 @@ func TestCSRGoldenParity(t *testing.T) {
 		preset  gen.Preset
 		scale   int
 		engine  string
-		diff    string
+		budget  int64 // 0 = default; 1 (below one row) hashes every probe
 		rate    float64
 		slowish bool
 	}{
-		{"facebook20-mc-hash", gen.Facebook, 20, diffusion.EngineMC, diffusion.DiffusionHash, 0.43138959694774442, false},
-		{"facebook20-wc-live", gen.Facebook, 20, diffusion.EngineWorldCache, diffusion.DiffusionLiveEdge, 0.43138959694774442, false},
-		{"epinions400-wc-live", gen.Epinions, 400, diffusion.EngineWorldCache, diffusion.DiffusionLiveEdge, 0.47337202259135702, true},
-		{"epinions400-mc-live", gen.Epinions, 400, diffusion.EngineMC, diffusion.DiffusionLiveEdge, 0.47337202259135702, true},
-		{"epinions400-sketch-hash", gen.Epinions, 400, diffusion.EngineSketch, diffusion.DiffusionHash, 0.47337202259135702, true},
+		{"facebook20-mc-hash", gen.Facebook, 20, diffusion.EngineMC, 1, 0.43138959694774442, false},
+		{"facebook20-wc-live", gen.Facebook, 20, diffusion.EngineWorldCache, 0, 0.43138959694774442, false},
+		{"epinions400-wc-live", gen.Epinions, 400, diffusion.EngineWorldCache, 0, 0.47337202259135702, true},
+		{"epinions400-mc-live", gen.Epinions, 400, diffusion.EngineMC, 0, 0.47337202259135702, true},
+		{"epinions400-sketch-hash", gen.Epinions, 400, diffusion.EngineSketch, 1, 0.47337202259135702, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -41,7 +41,7 @@ func TestCSRGoldenParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			sol, err := core.Solve(inst, core.Options{
-				Samples: 200, Seed: 77, Engine: tc.engine, Diffusion: tc.diff,
+				Samples: 200, Seed: 77, Engine: tc.engine, LiveEdgeMemBudget: tc.budget,
 			})
 			if err != nil {
 				t.Fatal(err)

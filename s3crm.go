@@ -22,7 +22,7 @@
 //	        s3crm.GraphConfig{Budget: 5000})
 //
 // The serving surface is the Campaign session: Problem.NewCampaign
-// constructs the evaluation engine, the diffusion substrate and the scratch
+// constructs the evaluation engine, the live-edge substrate and the scratch
 // pools once, and then serves any number of concurrent calls against the
 // shared state —
 //
@@ -35,9 +35,7 @@
 //
 // Campaign calls accept call-level options (per-request engine selection,
 // seeds, progress sinks), honour context cancellation mid-iteration, and
-// stream per-iteration progress events through WithProgress. The one-shot
-// package-level Solve, RunBaseline and Problem.Evaluate remain as
-// deprecated thin wrappers, each building a throwaway Campaign.
+// stream per-iteration progress events through WithProgress.
 //
 // # Engines
 //
@@ -66,7 +64,6 @@
 package s3crm
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -385,17 +382,8 @@ func EngineUsage() string { return diffusion.EngineUsage() }
 
 // Models lists the triggering models accepted by WithModel: "ic"
 // (independent cascade, the default) and "lt" (linear threshold via its
-// live-edge equivalence). Every engine and diffusion substrate serves both.
+// live-edge equivalence). Every engine serves both.
 func Models() []string { return diffusion.Models() }
-
-// Diffusions lists the edge-liveness substrates accepted by WithDiffusion.
-func Diffusions() []string { return diffusion.Diffusions() }
-
-// EvalModes lists the world-evaluation kernels accepted by WithEvalMode:
-// "bitparallel" (the default — 64 possible worlds per machine word) and
-// "scalar" (one world per pass, the parity oracle). Both produce
-// bit-identical results.
-func EvalModes() []string { return diffusion.EvalModes() }
 
 // Deployment is a hand-built campaign plan for Evaluate: the seed set and
 // the coupon allocation.
@@ -435,46 +423,6 @@ func buildDeploymentFor(inst *diffusion.Instance, dep Deployment) (*diffusion.De
 		d.SetK(int32(v), k)
 	}
 	return d, nil
-}
-
-// Solve runs S3CA, the paper's approximation algorithm, on the problem.
-//
-// Deprecated: build a Campaign with Problem.NewCampaign and call
-// Campaign.Solve — it amortizes engine construction across calls and
-// supports cancellation, progress streaming and batch evaluation. This
-// wrapper builds a throwaway Campaign per call.
-func Solve(p *Problem, opts Options) (*Result, error) {
-	c, err := p.NewCampaign(opts.asOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Solve(context.Background(), WithSeed(opts.Seed))
-}
-
-// RunBaseline runs one of the paper's comparison algorithms.
-//
-// Deprecated: build a Campaign with Problem.NewCampaign and call
-// Campaign.RunBaseline (see the Solve deprecation note).
-func RunBaseline(name string, p *Problem, opts Options) (*Result, error) {
-	c, err := p.NewCampaign(opts.asOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return c.RunBaseline(context.Background(), name, WithSeed(opts.Seed))
-}
-
-// Evaluate measures an arbitrary deployment: the expected benefit, the
-// closed-form coupon cost, the redemption rate and hop statistics.
-//
-// Deprecated: build a Campaign with Problem.NewCampaign and call
-// Campaign.Evaluate or Campaign.EvaluateBatch (see the Solve deprecation
-// note).
-func (p *Problem) Evaluate(dep Deployment, opts Options) (*Result, error) {
-	c, err := p.NewCampaign(opts.asOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	return c.Evaluate(context.Background(), dep, WithSeed(opts.Seed))
 }
 
 // AdoptionCaseStudy re-weights the problem's network with the coupon

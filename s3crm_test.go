@@ -2,6 +2,7 @@ package s3crm
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 )
@@ -23,6 +24,34 @@ func paperExample(t testing.TB) *Problem {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// solveFresh runs S3CA on a fresh campaign seeded with seed, pinning the
+// call to the same seed: the result depends on nothing but the arguments.
+func solveFresh(p *Problem, seed uint64, opts ...Option) (*Result, error) {
+	c, err := p.NewCampaign(append([]Option{WithSeed(seed)}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	return c.Solve(context.Background(), WithSeed(seed))
+}
+
+// baselineFresh is solveFresh for the named baseline.
+func baselineFresh(p *Problem, name string, seed uint64, opts ...Option) (*Result, error) {
+	c, err := p.NewCampaign(append([]Option{WithSeed(seed)}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	return c.RunBaseline(context.Background(), name, WithSeed(seed))
+}
+
+// evaluateFresh is solveFresh for measuring one hand-built deployment.
+func evaluateFresh(p *Problem, dep Deployment, seed uint64, opts ...Option) (*Result, error) {
+	c, err := p.NewCampaign(append([]Option{WithSeed(seed)}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	return c.Evaluate(context.Background(), dep, WithSeed(seed))
 }
 
 func TestBuilderBasics(t *testing.T) {
@@ -54,7 +83,7 @@ func TestBuilderErrors(t *testing.T) {
 
 func TestSolvePublicAPI(t *testing.T) {
 	p := paperExample(t)
-	r, err := Solve(p, Options{Samples: 30000, Seed: 1})
+	r, err := solveFresh(p, 1, WithSamples(30000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +106,10 @@ func TestSolvePublicAPI(t *testing.T) {
 
 func TestEvaluateCustomDeployment(t *testing.T) {
 	p := paperExample(t)
-	r, err := p.Evaluate(Deployment{
+	r, err := evaluateFresh(p, Deployment{
 		Seeds:   []int{1},
 		Coupons: map[int]int{1: 1},
-	}, Options{Samples: 100000, Seed: 2})
+	}, 2, WithSamples(100000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +124,13 @@ func TestEvaluateCustomDeployment(t *testing.T) {
 
 func TestEvaluateValidation(t *testing.T) {
 	p := paperExample(t)
-	if _, err := p.Evaluate(Deployment{Seeds: []int{99}}, Options{Samples: 10}); err == nil {
+	if _, err := evaluateFresh(p, Deployment{Seeds: []int{99}}, 0, WithSamples(10)); err == nil {
 		t.Fatal("bad seed accepted")
 	}
-	if _, err := p.Evaluate(Deployment{Coupons: map[int]int{0: -1}}, Options{Samples: 10}); err == nil {
+	if _, err := evaluateFresh(p, Deployment{Coupons: map[int]int{0: -1}}, 0, WithSamples(10)); err == nil {
 		t.Fatal("negative coupons accepted")
 	}
-	if _, err := p.Evaluate(Deployment{Coupons: map[int]int{4: 5}}, Options{Samples: 10}); err == nil {
+	if _, err := evaluateFresh(p, Deployment{Coupons: map[int]int{4: 5}}, 0, WithSamples(10)); err == nil {
 		t.Fatal("coupons beyond friend count accepted")
 	}
 }
@@ -112,7 +141,7 @@ func TestRunBaselinePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range Baselines() {
-		r, err := RunBaseline(name, p, Options{Samples: 100, Seed: 3, CandidateCap: 30})
+		r, err := baselineFresh(p, name, 3, WithSamples(100), WithCandidateCap(30))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -123,7 +152,7 @@ func TestRunBaselinePublicAPI(t *testing.T) {
 			t.Fatalf("%s violated budget", name)
 		}
 	}
-	if _, err := RunBaseline("nope", p, Options{}); err == nil {
+	if _, err := baselineFresh(p, "nope", 0); err == nil {
 		t.Fatal("unknown baseline accepted")
 	}
 }
@@ -182,11 +211,11 @@ func TestScenarioSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed shape: %d/%d/%v", q.Users(), q.Edges(), q.Budget())
 	}
 	// Solving the reloaded problem gives the same result.
-	a, err := Solve(p, Options{Samples: 2000, Seed: 3})
+	a, err := solveFresh(p, 3, WithSamples(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(q, Options{Samples: 2000, Seed: 3})
+	b, err := solveFresh(q, 3, WithSamples(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +235,7 @@ func TestSolveOnDatasetEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := Solve(p, Options{Samples: 150, Seed: 11})
+	sol, err := solveFresh(p, 11, WithSamples(150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +245,7 @@ func TestSolveOnDatasetEndToEnd(t *testing.T) {
 	if len(sol.Seeds) == 0 {
 		t.Fatal("no seeds selected on a generated dataset")
 	}
-	base, err := RunBaseline("IM-U", p, Options{Samples: 150, Seed: 11, CandidateCap: 30})
+	base, err := baselineFresh(p, "IM-U", 11, WithSamples(150), WithCandidateCap(30))
 	if err != nil {
 		t.Fatal(err)
 	}

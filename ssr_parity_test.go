@@ -124,18 +124,22 @@ func TestSSRParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, model := range []string{diffusion.ModelIC, diffusion.ModelLT} {
-		for _, diff := range []string{diffusion.DiffusionLiveEdge, diffusion.DiffusionHash} {
-			t.Run(model+"-"+diff, func(t *testing.T) {
+		// "hash" is a live-edge budget below one row: every probe hashes.
+		for _, sub := range []struct {
+			name   string
+			budget int64
+		}{{"liveedge", 0}, {"hash", 1}} {
+			t.Run(model+"-"+sub.name, func(t *testing.T) {
 				solve := func(workers int) *core.Solution {
 					ev, err := diffusion.NewEngineOpts(inst, diffusion.EngineOptions{
-						Engine: diffusion.EngineMC, Model: model, Diffusion: diff,
+						Engine: diffusion.EngineMC, Model: model, LiveEdgeMemBudget: sub.budget,
 						Samples: 500, Seed: 13,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					sol, err := core.Solve(inst, core.Options{
-						Engine: diffusion.EngineSSR, Model: model, Diffusion: diff,
+						Engine: diffusion.EngineSSR, Model: model, LiveEdgeMemBudget: sub.budget,
 						Samples: 500, Seed: 13, Epsilon: 0.1, Delta: 0.01,
 						Workers: workers, Evaluator: ev,
 					})
